@@ -4,8 +4,9 @@
 //!
 //! 1. **Identity**: the 400-simulation TSPC surface sweep (20×20 grid
 //!    around an 8-point contour) generated through the lockstep batched
-//!    engine must be *bitwise* identical to the scalar sweep — every grid
-//!    value compared by `to_bits`.
+//!    engine, serially and with its lane groups fanned over two threads,
+//!    must be *bitwise* identical to the scalar sweep — every grid value
+//!    compared by `to_bits`.
 //! 2. **Speedup**: the batched sweep must be at least `--min-speedup`
 //!    (default [`MIN_BATCHED_SPEEDUP`]) times faster than the scalar one
 //!    on a single core — the SoA/lockstep payoff on 1-CPU hosts where
@@ -32,7 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use shc_bench::{Cell, Timing};
-use shc_core::{surface, BatchPolicy, SurfaceOptions};
+use shc_core::{surface, BatchPolicy, OutputSurface, Parallelism, SurfaceOptions};
 use shc_obs::json;
 use shc_spice::batch::DEFAULT_LANES;
 
@@ -102,21 +103,26 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let contour = scalar_problem.trace_contour(CONTOUR_POINTS)?;
     let grid = SurfaceOptions::around_contour(&contour, GRID_N);
 
-    // Gate 1: bitwise identity, lane for lane.
+    // Gate 1: bitwise identity, lane for lane: scalar == serial-batched ==
+    // threaded-batched.
     let scalar_surface = surface::generate(&scalar_problem, &grid)?;
     let batched_surface = surface::generate(&batched_problem, &grid)?;
+    let threaded_surface = surface::generate(
+        &batched_problem,
+        &grid.with_parallelism(Parallelism::Threads(2)),
+    )?;
     let sims = scalar_surface.simulations();
-    let mut mismatches = 0usize;
-    for (row_s, row_b) in scalar_surface.values().iter().zip(batched_surface.values()) {
-        for (s, b) in row_s.iter().zip(row_b) {
-            if s.to_bits() != b.to_bits() {
-                mismatches += 1;
-            }
-        }
-    }
+    let mismatches = mismatched_values(&scalar_surface, &batched_surface);
+    let threaded_mismatches = mismatched_values(&scalar_surface, &threaded_surface);
     if mismatches > 0 {
         ok = false;
         eprintln!("surface: {mismatches}/{sims} grid values differ from the scalar sweep");
+    }
+    if threaded_mismatches > 0 {
+        ok = false;
+        eprintln!(
+            "surface: {threaded_mismatches}/{sims} threaded grid values differ from the scalar sweep"
+        );
     }
 
     if args.iter().any(|a| a == "--profile") {
@@ -154,12 +160,18 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     );
     json::push_f64_field(&mut out, &mut first, "batched_speedup", speedup);
     json::push_u64_field(&mut out, &mut first, "value_mismatches", mismatches as u64);
+    json::push_u64_field(
+        &mut out,
+        &mut first,
+        "threaded_value_mismatches",
+        threaded_mismatches as u64,
+    );
     json::push_f64_field(&mut out, &mut first, "min_speedup", min_speedup);
     println!(
         "surface (n = {GRID_N}, {sims} sims, {DEFAULT_LANES} lanes): \
          scalar {t_scalar:.3} s, batched {t_batched:.3} s — {speedup:.1}x, \
-         bitwise identical: {}",
-        mismatches == 0
+         bitwise identical (serial, 2 threads): {}",
+        mismatches == 0 && threaded_mismatches == 0
     );
     if speedup < min_speedup {
         ok = false;
@@ -174,4 +186,14 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Grid values of `b` whose bit patterns differ from `a`'s.
+fn mismatched_values(a: &OutputSurface, b: &OutputSurface) -> usize {
+    a.values()
+        .iter()
+        .flatten()
+        .zip(b.values().iter().flatten())
+        .filter(|(x, y)| x.to_bits() != y.to_bits())
+        .count()
 }

@@ -6,15 +6,14 @@
 //! samples", which is why characterization takes "weeks or months even on
 //! large dedicated computer clusters". This module implements that outer
 //! loop over the Euler-Newton kernel, with the warm-start the paper's
-//! Sec. III-E step 1a recommends: each corner's trace is seeded from the
-//! previous corner's first contour point, skipping the bracketing search
-//! entirely whenever the corners are adjacent enough.
-
-use std::sync::Mutex;
+//! Sec. III-E step 1a recommends: the first corner is seeded cold, and
+//! every later corner's seed is polished from the first corner's first
+//! contour point, skipping the bracketing search entirely whenever the
+//! corners are adjacent enough.
 
 use serde::{Deserialize, Serialize};
 use shc_cells::Register;
-use shc_spice::batch::{BatchPolicy, DEFAULT_LANES};
+use shc_spice::batch::BatchPolicy;
 use shc_spice::waveform::Params;
 
 use crate::mpnr::{self, MpnrOptions};
@@ -34,8 +33,8 @@ pub struct CornerResult {
     pub contour: Contour,
     /// Transient simulations this corner consumed (seeding + tracing).
     pub simulations: usize,
-    /// Whether the warm start from the previous corner succeeded (false
-    /// for the first corner and after warm-start fallbacks).
+    /// Whether the warm start from the first corner succeeded (false for
+    /// the first corner itself and after warm-start fallbacks).
     pub warm_started: bool,
 }
 
@@ -50,18 +49,14 @@ pub struct SweepOptions {
     pub seed: SeedOptions,
     /// MPNR settings for warm-start polishing.
     pub mpnr: MpnrOptions,
-    /// Fan-out policy for the corner loop. Serial keeps the paper's
-    /// corner-to-corner warm-start chain; parallel policies solve the
-    /// first corner cold and warm-start every remaining corner from it
-    /// concurrently.
+    /// Thread count for corners 1.., which run in lane groups fanned over
+    /// the threads after the first corner. Results do not depend on it.
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// Batched-engine policy for serial sweeps. When it may engage, the
-    /// serial sweep adopts the parallel path's warm-start shape — first
-    /// corner cold, every later corner polished from its first contour
-    /// point — so lane groups can share one lockstep transient per MPNR
-    /// iteration. [`BatchPolicy::Scalar`] keeps the corner-to-corner
-    /// chain.
+    /// Batched-engine policy: each lane group of corners polishes its warm
+    /// starts through one lockstep batched transient per MPNR iteration,
+    /// one corner per group when the policy cannot batch. Results do not
+    /// depend on it.
     #[serde(default)]
     pub batch: BatchPolicy,
 }
@@ -81,17 +76,14 @@ impl Default for SweepOptions {
 
 /// Characterizes one register fixture per corner.
 ///
-/// Serial sweeps warm-start each corner from the previous one (the paper's
-/// Sec. III-E chaining). With a parallel [`SweepOptions::parallelism`]
-/// policy, the first corner runs cold and the remaining corners run
-/// concurrently, each warm-started from the first corner's contour point;
-/// results are always returned in input order.
-///
-/// When [`SweepOptions::batch`] may engage (the default `Auto` with no
-/// fault injector, or `Batched`), serial sweeps adopt the parallel path's
-/// anchor warm-start shape and advance each lane group's MPNR polish
-/// through one lockstep batched transient per iteration — corner for
-/// corner identical to the same sweep under a parallel policy.
+/// The first corner is seeded cold; its first contour point anchors an
+/// MPNR warm start for every remaining corner (a corner whose polish fails
+/// falls back to cold seeding). The remaining corners run in lane groups
+/// fanned over [`SweepOptions::parallelism`] threads, each group polishing
+/// its warm starts through one lockstep batched transient per MPNR
+/// iteration under [`SweepOptions::batch`]; contour tracing stays
+/// per-corner. Results are returned in input order and are identical for
+/// every thread count and batch policy.
 ///
 /// `corners` yields `(label, register)` pairs — typically the same cell
 /// rebuilt with shifted [`shc_cells::Technology`] parameters.
@@ -126,144 +118,68 @@ pub fn sweep(
     opts: &SweepOptions,
 ) -> Result<Vec<CornerResult>> {
     let _span = shc_obs::span(shc_obs::SpanKind::Corners);
-    if opts.parallelism.is_serial() {
-        // Batched lockstep reorders problem building against solving, which
-        // would perturb fault-injection draw order; under an active injector
-        // the Auto policy keeps the scalar corner-to-corner chain.
-        let try_lockstep = match opts.batch {
-            BatchPolicy::Scalar => false,
-            BatchPolicy::Auto => !shc_fault::enabled(),
-            BatchPolicy::Batched => true,
-        };
-        if try_lockstep {
-            return sweep_serial_lockstep(corners, opts);
-        }
-        let mut results = Vec::new();
-        let mut previous_first: Option<Params> = None;
-        for (label, register) in corners {
-            let (result, first) = run_corner(label, register, opts, previous_first)?;
-            previous_first = Some(first);
-            results.push(result);
-        }
-        return Ok(results);
-    }
-
-    // Parallel sweep: concurrent corners cannot chain corner-to-corner, so
-    // the first corner is solved cold on the calling thread and its first
-    // contour point anchors the warm start of every remaining corner.
-    // Registers are not `Clone`, so the fan-out claims each one by `take`.
     let mut rest = corners.into_iter();
     let Some((label, register)) = rest.next() else {
         return Ok(Vec::new());
     };
-    let (anchor, anchor_params) = run_corner(label, register, opts, None)?;
-    let slots: Vec<Mutex<Option<(String, Register)>>> =
-        rest.map(|corner| Mutex::new(Some(corner))).collect();
-    let mut results = vec![anchor];
-    results.extend(parallel::run_indexed(opts.parallelism, slots.len(), |i| {
-        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-        let (label, register) = slots[i]
-            .lock()
-            // lint: allow(no-panic, reason = "poisoned slot means a sibling corner already panicked; unwinding is the only option left")
-            .expect("corner slot poisoned")
-            .take()
-            // lint: allow(no-panic, reason = "run_indexed dispatches each index exactly once")
-            .expect("corner job ran twice");
-        run_corner(label, register, opts, Some(anchor_params)).map(|(result, _)| result)
-    })?);
-    Ok(results)
-}
-
-/// Serial sweep through the batched engine: the first corner runs cold and
-/// every later corner is warm-polished from its first contour point in
-/// lockstep lane groups — the parallel path's warm-start shape, so lane
-/// groups can share one batched transient per MPNR iteration. A lane whose
-/// polish fails falls back to cold seeding; contour tracing stays
-/// per-corner.
-fn sweep_serial_lockstep(
-    corners: impl IntoIterator<Item = (String, Register)>,
-    opts: &SweepOptions,
-) -> Result<Vec<CornerResult>> {
-    let mut rest = corners.into_iter();
-    let Some((label, register)) = rest.next() else {
-        return Ok(Vec::new());
-    };
-    let (anchor, anchor_params) = run_corner(label, register, opts, None)?;
-    let mut results = vec![anchor];
-    let mut remaining = rest.peekable();
-    while remaining.peek().is_some() {
-        let group: Vec<(String, Register)> = remaining.by_ref().take(DEFAULT_LANES).collect();
-        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-        let mut labels = Vec::with_capacity(group.len());
-        let mut problems = Vec::with_capacity(group.len());
-        for (label, register) in group {
-            let problem = CharacterizationProblem::builder(register)
-                .batch(opts.batch)
-                .build()?;
-            problem.reset_simulation_count();
-            labels.push(label);
-            problems.push(problem);
-        }
-        let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
-        let warm = mpnr::solve_batch(
-            &refs,
-            &vec![anchor_params; refs.len()],
-            &opts.mpnr,
-            opts.batch,
-        );
-        for ((label, problem), solved) in labels.into_iter().zip(&problems).zip(warm) {
-            let (first_point, warm_started) = match solved {
-                Ok(polished) => (polished, true),
-                Err(_) => (seed::find_first_point(problem, &opts.seed)?, false),
-            };
-            let contour = tracer::trace(problem, first_point.params, opts.points, &opts.tracer)?;
-            results.push(CornerResult {
-                label,
-                t_cq: problem.characteristic_delay(),
-                contour,
-                simulations: problem.simulation_count(),
-                warm_started,
-            });
-        }
-    }
-    Ok(results)
-}
-
-/// Characterizes one corner, optionally polishing a warm-start guess onto
-/// its contour with MPNR (falling back to cold seeding). Returns the
-/// corner's result plus its first contour point, which seeds the next
-/// corner in serial sweeps.
-fn run_corner(
-    label: String,
-    register: Register,
-    opts: &SweepOptions,
-    warm_start: Option<Params>,
-) -> Result<(CornerResult, Params)> {
-    let problem = CharacterizationProblem::builder(register).build()?;
-    problem.reset_simulation_count();
-
-    let mut warm_started = false;
-    let first_point = match warm_start {
-        Some(guess) => match mpnr::solve(&problem, guess, &opts.mpnr) {
-            Ok(polished) => {
-                warm_started = true;
-                polished
+    let problem = build_corner(register, opts)?;
+    let first = seed::find_first_point(&problem, &opts.seed)?.params;
+    let mut results = vec![finish_corner(label, &problem, first, false, opts)?];
+    results.extend(parallel::run_groups(
+        opts.parallelism,
+        opts.batch,
+        rest.collect(),
+        |group| {
+            let mut labels = Vec::with_capacity(group.len());
+            let mut problems = Vec::with_capacity(group.len());
+            for (label, register) in group {
+                labels.push(label);
+                problems.push(build_corner(register, opts)?);
             }
-            Err(_) => seed::find_first_point(&problem, &opts.seed)?,
+            let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
+            let warm = mpnr::solve_batch(&refs, &vec![first; refs.len()], &opts.mpnr, opts.batch);
+            labels
+                .into_iter()
+                .zip(&problems)
+                .zip(warm)
+                .map(|((label, problem), solved)| match solved {
+                    Ok(polished) => finish_corner(label, problem, polished.params, true, opts),
+                    Err(_) => {
+                        let cold = seed::find_first_point(problem, &opts.seed)?;
+                        finish_corner(label, problem, cold.params, false, opts)
+                    }
+                })
+                .collect()
         },
-        None => seed::find_first_point(&problem, &opts.seed)?,
-    };
+    )?);
+    Ok(results)
+}
 
-    let contour = tracer::trace(&problem, first_point.params, opts.points, &opts.tracer)?;
-    let first_params = first_point.params;
-    let result = CornerResult {
+/// Builds one corner's problem with the sweep's batch policy.
+fn build_corner(register: Register, opts: &SweepOptions) -> Result<CharacterizationProblem> {
+    let problem = CharacterizationProblem::builder(register)
+        .batch(opts.batch)
+        .build()?;
+    problem.reset_simulation_count();
+    Ok(problem)
+}
+
+/// Traces one corner's contour from its first point and packs the result.
+fn finish_corner(
+    label: String,
+    problem: &CharacterizationProblem,
+    first: Params,
+    warm_started: bool,
+    opts: &SweepOptions,
+) -> Result<CornerResult> {
+    let contour = tracer::trace(problem, first, opts.points, &opts.tracer)?;
+    Ok(CornerResult {
         label,
         t_cq: problem.characteristic_delay(),
         contour,
         simulations: problem.simulation_count(),
         warm_started,
-    };
-    Ok((result, first_params))
+    })
 }
 
 #[cfg(test)]
@@ -325,23 +241,6 @@ mod tests {
             results[0].t_cq > results[2].t_cq,
             "corner ordering lost in the parallel merge"
         );
-    }
-
-    #[test]
-    fn batched_serial_sweep_matches_parallel_corner_for_corner() {
-        let base = SweepOptions {
-            points: 6,
-            batch: BatchPolicy::Batched,
-            ..SweepOptions::default()
-        };
-        let parallel_opts = SweepOptions {
-            parallelism: Parallelism::Threads(3),
-            batch: BatchPolicy::Scalar,
-            ..base
-        };
-        let batched = sweep(corner_registers(), &base).unwrap();
-        let parallel = sweep(corner_registers(), &parallel_opts).unwrap();
-        assert_eq!(batched, parallel);
     }
 
     #[test]

@@ -11,10 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use shc_cells::{Register, Technology};
-use shc_spice::batch::{BatchPolicy, DEFAULT_LANES};
-use shc_spice::waveform::Params;
+use shc_spice::batch::BatchPolicy;
 
-use crate::mpnr::{self, MpnrOptions};
+use crate::mpnr::{self, MpnrOptions, MpnrResult};
 use crate::parallel::{self, Parallelism};
 use crate::seed::{self, SeedOptions};
 use crate::{CharacterizationProblem, Result};
@@ -106,15 +105,15 @@ pub struct MonteCarloOptions {
     pub seed: SeedOptions,
     /// MPNR options for warm-started samples.
     pub mpnr: MpnrOptions,
-    /// Fan-out policy for samples 1.. (sample 0 always runs first as the
+    /// Thread count for samples 1.. (sample 0 always runs first as the
     /// warm-start anchor). Results are independent of the policy: each
     /// sample draws from its own index-derived RNG stream.
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// Batched-engine policy for serial runs: warm-started samples advance
-    /// their MPNR solves in lockstep lane groups ([`mpnr::solve_batch`]),
-    /// sample for sample identical to the scalar path. Parallel runs keep
-    /// the per-thread scalar path.
+    /// Batched-engine policy: warm-started samples advance their MPNR
+    /// solves in lockstep lane groups ([`mpnr::solve_batch`]) fanned over
+    /// the threads, one sample per group when the policy cannot batch.
+    /// Results are sample for sample identical under every policy.
     #[serde(default)]
     pub batch: BatchPolicy,
 }
@@ -143,38 +142,6 @@ fn sample_seed(rng_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Characterizes one process sample, optionally warm-starting MPNR from an
-/// anchor solution (falling back to cold seeding on MPNR failure).
-fn run_sample<F>(
-    base: &Technology,
-    build: &F,
-    opts: &MonteCarloOptions,
-    index: usize,
-    warm_start: Option<Params>,
-) -> Result<SampleResult>
-where
-    F: Fn(&Technology) -> Register,
-{
-    let mut rng = StdRng::seed_from_u64(sample_seed(opts.rng_seed, index as u64));
-    let tech = opts.variation.sample(base, &mut rng);
-    let problem = CharacterizationProblem::builder(build(&tech)).build()?;
-    problem.reset_simulation_count();
-    let point = match warm_start {
-        Some(guess) => match mpnr::solve(&problem, guess, &opts.mpnr) {
-            Ok(p) => p,
-            Err(_) => seed::find_first_point(&problem, &opts.seed)?,
-        },
-        None => seed::find_first_point(&problem, &opts.seed)?,
-    };
-    Ok(SampleResult {
-        index,
-        t_cq: problem.characteristic_delay(),
-        tau_s: point.params.tau_s,
-        tau_h: point.params.tau_h,
-        simulations: problem.simulation_count(),
-    })
-}
-
 /// Builds the perturbed problem for one sample index (the sample's own
 /// RNG stream makes this independent of evaluation order).
 fn build_sample_problem<F>(
@@ -195,44 +162,20 @@ where
     Ok(problem)
 }
 
-/// The warm-started samples 1.., advanced in lockstep lane groups: each
-/// group's MPNR solves share one batched transient per iteration, and a
-/// lane whose warm start fails falls back to cold seeding — exactly the
-/// scalar [`run_sample`] policy, sample for sample.
-fn run_samples_lockstep<F>(
-    base: &Technology,
-    build: &F,
-    opts: &MonteCarloOptions,
-    anchor: Params,
-) -> Result<Vec<SampleResult>>
-where
-    F: Fn(&Technology) -> Register,
-{
-    let mut results = Vec::with_capacity(opts.samples - 1);
-    let indices: Vec<usize> = (1..opts.samples).collect();
-    for group in indices.chunks(DEFAULT_LANES) {
-        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-        let problems: Vec<CharacterizationProblem> = group
-            .iter()
-            .map(|&index| build_sample_problem(base, build, opts, index))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
-        let warm = mpnr::solve_batch(&refs, &vec![anchor; refs.len()], &opts.mpnr, opts.batch);
-        for ((&index, problem), solved) in group.iter().zip(&problems).zip(warm) {
-            let point = match solved {
-                Ok(p) => p,
-                Err(_) => seed::find_first_point(problem, &opts.seed)?,
-            };
-            results.push(SampleResult {
-                index,
-                t_cq: problem.characteristic_delay(),
-                tau_s: point.params.tau_s,
-                tau_h: point.params.tau_h,
-                simulations: problem.simulation_count(),
-            });
-        }
+/// Packs a characterized sample: its problem's delay and simulation count
+/// plus the contour point found on it.
+fn sample_result(
+    index: usize,
+    problem: &CharacterizationProblem,
+    point: &MpnrResult,
+) -> SampleResult {
+    SampleResult {
+        index,
+        t_cq: problem.characteristic_delay(),
+        tau_s: point.params.tau_s,
+        tau_h: point.params.tau_h,
+        simulations: problem.simulation_count(),
     }
-    Ok(results)
 }
 
 /// Runs a Monte Carlo characterization: for each process sample, finds the
@@ -241,8 +184,8 @@ where
 /// Sample 0 is always solved first, from a cold seed; it anchors the MPNR
 /// warm start for every later sample. Each sample draws its technology from
 /// an RNG derived from `(rng_seed, index)`, so samples are independent of
-/// execution order: a parallel run (`opts.parallelism`) is identical,
-/// sample for sample, to a serial run with the same seed.
+/// execution order: every `opts.parallelism` and `opts.batch` gives the
+/// same samples for the same seed.
 ///
 /// `build` constructs the register for a sampled technology (e.g.
 /// `|tech| tspc_register_with(tech, clock)`); it must be `Sync` so samples
@@ -263,29 +206,39 @@ where
     let _span = shc_obs::span(shc_obs::SpanKind::MonteCarlo);
     let mut results: Vec<SampleResult> = Vec::with_capacity(opts.samples);
     if opts.samples > 0 {
-        let anchor = run_sample(base, &build, opts, 0, None)?;
-        let anchor_params = Params::new(anchor.tau_s, anchor.tau_h);
-        results.push(anchor);
-        // Batched lockstep reorders problem building against solving, which
-        // would perturb fault-injection draw order; under an active injector
-        // the Auto policy stays on the scalar path.
-        let try_lockstep = match opts.batch {
-            BatchPolicy::Scalar => false,
-            BatchPolicy::Auto => !shc_fault::enabled(),
-            BatchPolicy::Batched => true,
-        };
-        if opts.parallelism.is_serial() && try_lockstep {
-            results.extend(run_samples_lockstep(base, &build, opts, anchor_params)?);
-        } else {
-            results.extend(parallel::run_indexed(
-                opts.parallelism,
-                opts.samples - 1,
-                |k| {
-                    let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-                    run_sample(base, &build, opts, k + 1, Some(anchor_params))
-                },
-            )?);
-        }
+        let problem = build_sample_problem(base, &build, opts, 0)?;
+        let point = seed::find_first_point(&problem, &opts.seed)?;
+        let anchor = point.params;
+        results.push(sample_result(0, &problem, &point));
+        // Each lane group builds its samples' problems, polishes the anchor
+        // onto each in one lockstep MPNR solve, and seeds cold any lane
+        // whose polish fails.
+        results.extend(parallel::run_groups(
+            opts.parallelism,
+            opts.batch,
+            (1..opts.samples).collect(),
+            |group| {
+                let problems: Vec<CharacterizationProblem> = group
+                    .iter()
+                    .map(|&index| build_sample_problem(base, &build, opts, index))
+                    .collect::<Result<_>>()?;
+                let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
+                let warm =
+                    mpnr::solve_batch(&refs, &vec![anchor; refs.len()], &opts.mpnr, opts.batch);
+                group
+                    .into_iter()
+                    .zip(&problems)
+                    .zip(warm)
+                    .map(|((index, problem), solved)| -> Result<SampleResult> {
+                        let point = match solved {
+                            Ok(p) => p,
+                            Err(_) => seed::find_first_point(problem, &opts.seed)?,
+                        };
+                        Ok(sample_result(index, problem, &point))
+                    })
+                    .collect()
+            },
+        )?);
     }
 
     let n = results.len().max(1) as f64;
@@ -356,45 +309,6 @@ mod tests {
         assert_eq!(a, b);
         let (c, _) = small_run(4, 43);
         assert_ne!(a, c, "different seeds should differ");
-    }
-
-    #[test]
-    fn parallel_run_matches_serial_sample_for_sample() {
-        let base = Technology::default_250nm();
-        let build = |tech: &Technology| tspc_register_with(tech, ClockSpec::fast());
-        let serial_opts = MonteCarloOptions {
-            samples: 5,
-            rng_seed: 42,
-            ..MonteCarloOptions::default()
-        };
-        let parallel_opts = MonteCarloOptions {
-            parallelism: Parallelism::Threads(4),
-            ..serial_opts
-        };
-        let (serial, serial_stats) = run(&base, build, &serial_opts).expect("serial runs");
-        let (parallel, parallel_stats) = run(&base, build, &parallel_opts).expect("parallel runs");
-        assert_eq!(serial, parallel);
-        assert_eq!(serial_stats, parallel_stats);
-    }
-
-    #[test]
-    fn batched_serial_run_matches_scalar_sample_for_sample() {
-        let base = Technology::default_250nm();
-        let build = |tech: &Technology| tspc_register_with(tech, ClockSpec::fast());
-        let scalar_opts = MonteCarloOptions {
-            samples: 5,
-            rng_seed: 42,
-            batch: BatchPolicy::Scalar,
-            ..MonteCarloOptions::default()
-        };
-        let batched_opts = MonteCarloOptions {
-            batch: BatchPolicy::Batched,
-            ..scalar_opts
-        };
-        let (scalar, scalar_stats) = run(&base, build, &scalar_opts).expect("scalar runs");
-        let (batched, batched_stats) = run(&base, build, &batched_opts).expect("batched runs");
-        assert_eq!(scalar, batched);
-        assert_eq!(scalar_stats, batched_stats);
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub struct SurfaceOptions {
     pub tau_h_range: (f64, f64),
     /// Grid points per axis (the paper uses 40×40).
     pub n: usize,
-    /// Fan-out policy for the n² independent cell simulations. Serial by
-    /// default; parallel runs produce bitwise-identical surfaces (each
-    /// cell is an independent transient, merged in grid order).
+    /// Thread count for the n² cell simulations, which run in lane groups
+    /// fanned over the threads. Serial by default; the surface is bitwise
+    /// identical under every policy.
     #[serde(skip)]
     pub parallelism: Parallelism,
 }
@@ -213,9 +213,10 @@ impl SurfaceContour {
 
 /// Generates the output surface with n² transient simulations.
 ///
-/// The grid cells are independent transients, so they are fanned out
-/// according to `opts.parallelism`; rows are merged back in grid order,
-/// making the parallel surface bitwise identical to the serial one.
+/// The grid cells are independent transients: they run in lane groups
+/// through [`CharacterizationProblem::evaluate_batch`], fanned over
+/// `opts.parallelism` threads and merged back in grid order, so the
+/// surface is bitwise identical for every thread count and batch policy.
 ///
 /// # Errors
 ///
@@ -242,41 +243,22 @@ pub fn generate(problem: &CharacterizationProblem, opts: &SurfaceOptions) -> Res
     let lin = |a: f64, b: f64, k: usize| a + (b - a) * k as f64 / (opts.n - 1) as f64;
     let tau_s: Vec<f64> = (0..opts.n).map(|k| lin(s0, s1, k)).collect();
     let tau_h: Vec<f64> = (0..opts.n).map(|k| lin(h0, h1, k)).collect();
-    let values = if opts.parallelism.is_serial() {
-        // Serial sweeps route through the lockstep batched engine (per the
-        // problem's `BatchPolicy`; `evaluate_batch` falls back to a scalar
-        // loop outside its envelope): the row-major grid is cut into
-        // lane-group chunks, each advancing in one SoA batch. Lane results
-        // are bitwise identical to scalar evaluations, so this produces
-        // the very same surface, faster.
-        let cells: Vec<Params> = tau_s
-            .iter()
-            .flat_map(|&s| tau_h.iter().map(move |&h| Params::new(s, h)))
-            .collect();
-        let mut flat = Vec::with_capacity(cells.len());
-        for chunk in cells.chunks(shc_spice::batch::DEFAULT_LANES) {
-            // One sweep frame per lane-group chunk.
-            let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-            for hval in problem.evaluate_batch(chunk)? {
-                flat.push(hval + problem.r()); // store the raw output level
-            }
-        }
-        flat.chunks(opts.n).map(<[f64]>::to_vec).collect()
-    } else {
-        // One job per grid row: big enough to amortize scheduling, small
-        // enough to balance n >> threads rows across workers.
-        parallel::run_indexed(opts.parallelism, opts.n, |i| {
-            // One sweep frame per grid-row job, on whichever thread runs it.
-            let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-            let s = tau_s[i];
-            let mut row = Vec::with_capacity(opts.n);
-            for &h in &tau_h {
-                let hval = problem.evaluate(&Params::new(s, h))?;
-                row.push(hval + problem.r()); // store the raw output level
-            }
-            Ok::<Vec<f64>, CharError>(row)
-        })?
-    };
+    // Row-major grid cells in lane groups through the batched engine (per
+    // the problem's `BatchPolicy`; `evaluate_batch` falls back to a scalar
+    // loop outside its envelope). Lanes are bitwise identical to scalar
+    // evaluations, so the surface does not depend on the grouping.
+    let cells: Vec<Params> = tau_s
+        .iter()
+        .flat_map(|&s| tau_h.iter().map(move |&h| Params::new(s, h)))
+        .collect();
+    let flat = parallel::run_groups(opts.parallelism, problem.batch(), cells, |group| {
+        // Copy out of `h` rather than consuming it: `evaluate_batch` may
+        // return its values in the lane results' (far larger) allocation,
+        // which every group's output would otherwise pin until the merge.
+        let h = problem.evaluate_batch(&group)?;
+        Ok::<_, CharError>(h.iter().map(|h| h + problem.r()).collect()) // raw output level
+    })?;
+    let values = flat.chunks(opts.n).map(<[f64]>::to_vec).collect();
     Ok(OutputSurface {
         tau_s,
         tau_h,
@@ -346,35 +328,6 @@ mod tests {
         };
         let dev = sc.max_deviation_from(&exact).unwrap();
         assert!(dev < 1e-12, "deviation {dev}");
-    }
-
-    #[test]
-    fn parallel_surface_is_bitwise_identical_to_serial() {
-        use shc_cells::{tspc_register_with, ClockSpec, Technology};
-
-        let tech = Technology::default_250nm();
-        let problem =
-            CharacterizationProblem::builder(tspc_register_with(&tech, ClockSpec::fast()))
-                .build()
-                .unwrap();
-        let r = problem.reference_params();
-        let opts = SurfaceOptions {
-            tau_s_range: (r.tau_s - 50e-12, r.tau_s),
-            tau_h_range: (r.tau_h - 50e-12, r.tau_h),
-            n: 4,
-            parallelism: Parallelism::Serial,
-        };
-        let serial = generate(&problem, &opts).unwrap();
-        let fanned = generate(&problem, &opts.with_parallelism(Parallelism::Threads(4))).unwrap();
-        assert_eq!(
-            serial.values(),
-            fanned.values(),
-            "surfaces must match bitwise"
-        );
-        assert_eq!(serial.tau_s_grid(), fanned.tau_s_grid());
-        assert_eq!(serial.tau_h_grid(), fanned.tau_h_grid());
-        assert_eq!(serial.simulations(), 16);
-        assert_eq!(fanned.simulations(), 16);
     }
 
     #[test]

@@ -21,13 +21,13 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 use shc_cells::Register;
-use shc_spice::batch::{BatchPolicy, DEFAULT_LANES};
+use shc_spice::batch::BatchPolicy;
 use shc_spice::transient::TransientStats;
 use shc_spice::waveform::Params;
 
 use crate::mpnr::{self, MpnrOptions};
 use crate::parallel::{self, Parallelism};
-use crate::seed::{self, SeedOptions};
+use crate::seed::SeedOptions;
 use crate::{CharError, CharacterizationProblem, Result};
 
 /// Predictor step-length multiplier used both by the recovery ladder
@@ -708,18 +708,11 @@ pub struct BatchOptions {
     pub seed: SeedOptions,
     /// Tracer settings.
     pub tracer: TracerOptions,
-    /// Fan-out policy across degradation levels. Levels are fully
-    /// independent, so parallel results are identical to serial ones.
+    /// Thread count across degradation levels. Levels are fully
+    /// independent (each seeds cold and traces on its own problem), so
+    /// results are identical for every thread count.
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// Batched-engine policy. Only the explicit [`BatchPolicy::Batched`]
-    /// changes this entry point: serial multi-level batches then seed
-    /// level 0 cold and warm-polish every later level's seed from it in
-    /// lockstep lane groups — cheaper than per-level bracketing, but a
-    /// *different* (warm) seeding strategy from the scalar path, which is
-    /// why `Auto` leaves it off here.
-    #[serde(default)]
-    pub batch: BatchPolicy,
 }
 
 impl Default for BatchOptions {
@@ -729,7 +722,6 @@ impl Default for BatchOptions {
             seed: SeedOptions::default(),
             tracer: TracerOptions::default(),
             parallelism: Parallelism::default(),
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -753,126 +745,35 @@ where
     F: Fn() -> Register + Sync,
 {
     let _span = shc_obs::span(shc_obs::SpanKind::TraceBatch);
-    if matches!(opts.batch, BatchPolicy::Batched)
-        && opts.parallelism.is_serial()
-        && degradations.len() >= 2
-    {
-        return trace_batch_lockstep(build, degradations, opts);
-    }
-    let run = parallel::run_indexed(opts.parallelism, degradations.len(), |i| {
-        // Tag this level's journal events with its index so batch
-        // journals stay attributable regardless of worker interleaving.
-        let _level = shc_obs::with_journal_level(i as u64);
-        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-        let degradation = degradations[i];
-        let level = (|| {
-            let problem = CharacterizationProblem::builder(build())
-                .degradation(degradation)
-                .build()?;
-            problem.reset_simulation_count();
-            let contour = problem.trace_contour_with(opts.points, &opts.seed, &opts.tracer)?;
-            Ok(BatchContour {
-                degradation,
-                t_cq: problem.characteristic_delay(),
-                contour,
-                simulations: problem.simulation_count(),
-            })
-        })();
-        // Per-level failures are payload, not control flow: every level
-        // always runs to its own verdict.
-        Ok::<_, std::convert::Infallible>(level)
+    // Levels seed and trace on the scalar engine, so each level is its own
+    // group; per-level failures are payload, not control flow: every level
+    // always runs to its own verdict.
+    let levels: Vec<(usize, f64)> = degradations.iter().copied().enumerate().collect();
+    let run = parallel::run_groups(opts.parallelism, BatchPolicy::Scalar, levels, |group| {
+        let levels = group
+            .into_iter()
+            .map(|(i, degradation)| -> Result<BatchContour> {
+                // Tag this level's journal events with its index so batch
+                // journals stay attributable regardless of worker interleaving.
+                let _level = shc_obs::with_journal_level(i as u64);
+                let problem = CharacterizationProblem::builder(build())
+                    .degradation(degradation)
+                    .build()?;
+                problem.reset_simulation_count();
+                let contour = problem.trace_contour_with(opts.points, &opts.seed, &opts.tracer)?;
+                Ok(BatchContour {
+                    degradation,
+                    t_cq: problem.characteristic_delay(),
+                    contour,
+                    simulations: problem.simulation_count(),
+                })
+            });
+        Ok::<_, std::convert::Infallible>(levels.collect())
     });
     match run {
         Ok(levels) => levels,
         Err(never) => match never {},
     }
-}
-
-/// Serial [`trace_batch`] under the explicit [`BatchPolicy::Batched`]
-/// opt-in: level 0 seeds cold and its first contour point anchors an MPNR
-/// warm polish of every later level's seed, advanced in lockstep lane
-/// groups through the batched engine (the levels share one cell at nearby
-/// capture deadlines). A lane whose polish fails falls back to the cold
-/// bracketing search; tracing stays per-level, and per-level failures
-/// remain payload.
-fn trace_batch_lockstep<F>(
-    build: F,
-    degradations: &[f64],
-    opts: &BatchOptions,
-) -> Vec<Result<BatchContour>>
-where
-    F: Fn() -> Register + Sync,
-{
-    let problems: Vec<Result<CharacterizationProblem>> = degradations
-        .iter()
-        .map(|&degradation| {
-            let problem = CharacterizationProblem::builder(build())
-                .degradation(degradation)
-                .batch(opts.batch)
-                .build()?;
-            problem.reset_simulation_count();
-            Ok(problem)
-        })
-        .collect();
-
-    // Seed level 0 cold; its point anchors the warm polish of the rest.
-    let mut seeds: Vec<Option<Result<mpnr::MpnrResult>>> = problems.iter().map(|_| None).collect();
-    let anchor = match &problems[0] {
-        Ok(problem) => {
-            let found = seed::find_first_point(problem, &opts.seed);
-            let params = found.as_ref().ok().map(|point| point.params);
-            seeds[0] = Some(found);
-            params
-        }
-        Err(_) => None,
-    };
-    if let Some(anchor_params) = anchor {
-        let lanes: Vec<(usize, &CharacterizationProblem)> = problems
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter_map(|(i, p)| p.as_ref().ok().map(|p| (i, p)))
-            .collect();
-        for group in lanes.chunks(DEFAULT_LANES) {
-            let refs: Vec<&CharacterizationProblem> = group.iter().map(|&(_, p)| p).collect();
-            let warm = mpnr::solve_batch(
-                &refs,
-                &vec![anchor_params; refs.len()],
-                &opts.tracer.mpnr,
-                opts.batch,
-            );
-            for (&(i, problem), solved) in group.iter().zip(warm) {
-                seeds[i] = Some(match solved {
-                    Ok(polished) => Ok(polished),
-                    Err(_) => seed::find_first_point(problem, &opts.seed),
-                });
-            }
-        }
-    }
-
-    degradations
-        .iter()
-        .zip(problems)
-        .zip(seeds)
-        .enumerate()
-        .map(|(i, ((&degradation, problem), seeded))| {
-            let _level = shc_obs::with_journal_level(i as u64);
-            let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-            let problem = problem?;
-            let first = match seeded {
-                Some(found) => found?,
-                // The anchor level itself failed: seed this level cold.
-                None => seed::find_first_point(&problem, &opts.seed)?,
-            };
-            let contour = trace(&problem, first.params, opts.points, &opts.tracer)?;
-            Ok(BatchContour {
-                degradation,
-                t_cq: problem.characteristic_delay(),
-                contour,
-                simulations: problem.simulation_count(),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1032,47 +933,6 @@ mod tests {
         // A looser degradation criterion gives a later capture deadline,
         // so the two levels must land on genuinely different contours.
         assert_ne!(serial[0].contour.points()[0], serial[1].contour.points()[0]);
-    }
-
-    #[test]
-    fn batched_levels_share_warm_seeds_and_stay_on_contour() {
-        let build = || tspc_register_with(&Technology::default_250nm(), ClockSpec::fast());
-        let levels = [0.05, 0.10, 0.20];
-        let scalar_opts = BatchOptions {
-            points: 5,
-            ..BatchOptions::default()
-        };
-        let batched_opts = BatchOptions {
-            batch: BatchPolicy::Batched,
-            ..scalar_opts
-        };
-        let scalar: Vec<BatchContour> = trace_batch(build, &levels, &scalar_opts)
-            .into_iter()
-            .collect::<Result<_>>()
-            .unwrap();
-        let batched: Vec<BatchContour> = trace_batch(build, &levels, &batched_opts)
-            .into_iter()
-            .collect::<Result<_>>()
-            .unwrap();
-        assert_eq!(batched.len(), 3);
-        // Level 0 seeds cold, so it is bitwise-identical to the scalar run.
-        assert_eq!(batched[0], scalar[0]);
-        for (b, s) in batched.iter().zip(&scalar) {
-            assert_eq!(b.degradation, s.degradation);
-            assert!(b.contour.points().len() >= 3, "thin batched contour");
-            // Warm-seeded levels land on the same physical contour even
-            // though the seed point differs from the cold bracketing one.
-            for p in b.contour.points() {
-                assert!(p.residual < 5e-3, "off-contour point: |h| = {}", p.residual);
-            }
-        }
-        // The warm polish must beat cold bracketing on seeding cost.
-        let batched_sims: usize = batched[1..].iter().map(|b| b.simulations).sum();
-        let scalar_sims: usize = scalar[1..].iter().map(|s| s.simulations).sum();
-        assert!(
-            batched_sims < scalar_sims,
-            "warm lockstep seeding never saved work: {batched_sims} vs {scalar_sims} sims"
-        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Characterization sweeps (surface grids, Monte-Carlo samples, PVT
 //! corners, `trace_batch` levels) run thousands of transients over the
-//! *same topology* with different parameters. On a one-core host the
-//! thread pool cannot help (see `BENCH_parallel.json`), so this module
-//! attacks per-simulation cost instead:
+//! *same topology* with different parameters. This module cuts the
+//! per-simulation cost of one lane group; the sweep executor in
+//! `shc_core::parallel` fans the groups out over threads on top:
 //!
 //! - **Compilation** ([`compile::CompiledCircuit`]): the `dyn Device` list
 //!   is lowered once per sweep into a flat array of value-level device
@@ -86,14 +86,23 @@ impl BatchPolicy {
         }
     }
 
+    /// Whether this policy may batch right now, before any circuit or lane
+    /// count is known: never under `Scalar`, not under `Auto` while a
+    /// fault injector is installed, always under `Batched`. Sweep drivers
+    /// size their lane groups by it; [`Self::use_batched`] builds on it.
+    pub fn may_batch(self) -> bool {
+        match self {
+            BatchPolicy::Scalar => false,
+            BatchPolicy::Auto => !shc_fault::enabled(),
+            BatchPolicy::Batched => true,
+        }
+    }
+
     /// Whether a sweep of `lanes` same-topology simulations over
     /// `circuit` under `opts` should take the batched engine.
     pub fn use_batched(self, circuit: &Circuit, opts: &TransientOptions, lanes: usize) -> bool {
-        match self {
-            BatchPolicy::Scalar => false,
-            BatchPolicy::Auto => lanes >= 2 && !shc_fault::enabled() && supported(circuit, opts),
-            BatchPolicy::Batched => lanes >= 1 && supported(circuit, opts),
-        }
+        let min_lanes = if self == BatchPolicy::Auto { 2 } else { 1 };
+        self.may_batch() && lanes >= min_lanes && supported(circuit, opts)
     }
 }
 
@@ -224,7 +233,11 @@ mod tests {
             kind: shc_fault::FaultKind::NonConvergence,
             seed: 1,
         });
+        assert!(BatchPolicy::Auto.may_batch());
         let _g = shc_fault::install_scoped(&injector);
+        assert!(!BatchPolicy::Auto.may_batch());
+        assert!(BatchPolicy::Batched.may_batch());
+        assert!(!BatchPolicy::Scalar.may_batch());
         assert!(!BatchPolicy::Auto.use_batched(&c, &opts, 8));
         assert!(BatchPolicy::Batched.use_batched(&c, &opts, 8));
     }

@@ -1,6 +1,6 @@
 //! PVT-corner sweep — the industrial outer loop the paper's introduction
 //! motivates ("characterized … for all process-voltage-temperature (PVT)
-//! corners"). Later corners warm-start from the previous corner's contour,
+//! corners"). Later corners warm-start from the first corner's contour,
 //! skipping the bracketing search (paper Sec. III-E step 1a).
 //!
 //! Run with: `cargo run --release --example pvt_corners`
