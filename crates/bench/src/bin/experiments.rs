@@ -367,7 +367,7 @@ fn run_experiments(
     );
     let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
     std::fs::write(json_path, json)?;
-    println!("wrote {json_path}");
+    println!("wrote BENCH_parallel.json");
 
     collector.flush()?;
     if metrics_path.is_some() || journal_path.is_some() {

@@ -5,7 +5,7 @@
 //! transient runs, tracer simulations, points traced — against the
 //! committed `BENCH_baseline.json`. Counter drift beyond ±10% fails the
 //! run: a cheap, wall-clock-free canary for algorithmic perf regressions
-//! (extra Newton retries, corrector iterations, LTE rejections all show up
+//! (extra Newton retries, corrector iterations, Newton step cuts all show up
 //! as more transient runs).
 //!
 //! The v2 baseline adds the sparse-direct solver's work counters: a

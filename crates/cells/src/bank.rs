@@ -153,7 +153,6 @@ pub fn register_bank_with(tech: &Technology, clock: ClockSpec, n_bits: usize) ->
         RegisterParts {
             circuit: base.circuit,
             output: q,
-            data: base.data,
             clock,
             vdd: tech.vdd,
             name: "register_bank",

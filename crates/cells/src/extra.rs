@@ -135,7 +135,6 @@ pub fn saff_register_with(tech: &Technology, clock: ClockSpec) -> Register {
     Register::from_parts(RegisterParts {
         circuit: base.circuit,
         output: q,
-        data: base.data,
         clock,
         vdd: tech.vdd,
         name: "saff",
@@ -206,7 +205,6 @@ pub fn pulsed_latch_with(tech: &Technology, clock: ClockSpec) -> Register {
     Register::from_parts(RegisterParts {
         circuit: base.circuit,
         output: q,
-        data: base.data,
         clock,
         vdd: tech.vdd,
         name: "pulsed_latch",

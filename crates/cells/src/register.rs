@@ -128,7 +128,6 @@ pub(crate) enum CellKind {
 pub struct Register {
     circuit: Circuit,
     output: Node,
-    data: DataPulse,
     clock: ClockSpec,
     vdd: f64,
     name: &'static str,
@@ -158,11 +157,6 @@ impl Register {
     /// Never panics in practice: the output node is never ground.
     pub fn output_unknown(&self) -> usize {
         self.output.unknown().expect("output node is never ground")
-    }
-
-    /// The τs/τh-parameterized data pulse template.
-    pub fn data_pulse(&self) -> &DataPulse {
-        &self.data
     }
 
     /// The clock stimulus description.
@@ -287,22 +281,9 @@ impl Register {
             width: clock_period * 0.49,
             active_edge_index: 0,
         };
-        let (rest, active) = match transition {
-            OutputTransition::Rising => (vdd, 0.0),
-            OutputTransition::Falling => (0.0, vdd),
-        };
-        let data = DataPulse {
-            v_rest: rest,
-            v_active: active,
-            t_edge: active_edge_time,
-            rise: DATA_EDGE_TIME,
-            fall: DATA_EDGE_TIME,
-            shape: RampShape::Smoothstep,
-        };
         Register {
             circuit,
             output,
-            data,
             clock,
             vdd,
             name: "custom",
@@ -335,7 +316,6 @@ pub(crate) struct CellBase {
     pub(crate) vdd_node: Node,
     pub(crate) clk: Node,
     pub(crate) d: Node,
-    pub(crate) data: DataPulse,
 }
 
 /// Internal constructor bundle for [`Register`] (used by the cell builders
@@ -344,7 +324,6 @@ pub(crate) struct CellBase {
 pub(crate) struct RegisterParts {
     pub(crate) circuit: Circuit,
     pub(crate) output: Node,
-    pub(crate) data: DataPulse,
     pub(crate) clock: ClockSpec,
     pub(crate) vdd: f64,
     pub(crate) name: &'static str,
@@ -369,7 +348,6 @@ impl Register {
         Register {
             circuit: parts.circuit,
             output: parts.output,
-            data: parts.data,
             clock: parts.clock,
             vdd: parts.vdd,
             name: parts.name,
@@ -444,7 +422,6 @@ pub(crate) fn cell_base_at(
         vdd_node,
         clk,
         d,
-        data,
     }
 }
 
@@ -538,7 +515,6 @@ pub fn tspc_register_with(tech: &Technology, clock: ClockSpec) -> Register {
     Register {
         circuit: base.circuit,
         output: q,
-        data: base.data,
         clock,
         vdd: tech.vdd,
         name: "tspc",
@@ -613,7 +589,6 @@ pub fn c2mos_register_with(tech: &Technology, clock: ClockSpec, clkb_skew: f64) 
     Register {
         circuit: base.circuit,
         output: q,
-        data: base.data,
         clock,
         vdd: tech.vdd,
         name: "c2mos",
@@ -694,7 +669,6 @@ pub fn tg_register_with(tech: &Technology, clock: ClockSpec) -> Register {
     Register {
         circuit: base.circuit,
         output: q,
-        data: base.data,
         clock,
         vdd: tech.vdd,
         name: "tg",
@@ -741,7 +715,6 @@ pub fn d_latch_with(tech: &Technology, clock: ClockSpec) -> Register {
     Register {
         circuit: base.circuit,
         output: q,
-        data: base.data,
         clock,
         vdd: tech.vdd,
         name: "dlatch",

@@ -149,9 +149,9 @@ struct BatchSolveLane {
 
 /// Solves `h = 0` by MPNR for many `(problem, initial guess)` lanes in
 /// lockstep: each outer iteration evaluates every still-active lane's `h`
-/// and Jacobian through one batched transient
-/// ([`crate::CharacterizationProblem::evaluate_with_jacobian_batch`]'s
-/// cross-problem form), then applies the scalar update rule per lane.
+/// and Jacobian through one batched transient carrying forward
+/// sensitivities (the lanes may belong to different problems), then
+/// applies the scalar update rule per lane.
 /// Lanes may carry *different* problems — e.g. one per Monte Carlo sample
 /// or PVT corner — as long as they share the circuit dimension and solver
 /// settings; a converged or failed lane simply stops being evaluated.

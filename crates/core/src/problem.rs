@@ -253,43 +253,6 @@ impl CharacterizationProblem {
             .collect()
     }
 
-    /// Evaluates `h` *and* its Jacobian at many skew points with one
-    /// lockstep batch carrying forward sensitivities, falling back to a
-    /// scalar loop per the problem's [`BatchPolicy`]. Results are in input
-    /// order and bitwise identical to [`Self::evaluate_with_jacobian`] per
-    /// point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index simulation failure, matching a serial
-    /// left-to-right loop.
-    pub fn evaluate_with_jacobian_batch(&self, params: &[Params]) -> Result<Vec<HEvaluation>> {
-        let opts = self.transient_options(true);
-        if !self
-            .batch
-            .use_batched(self.register.circuit(), &opts, params.len())
-        {
-            return params
-                .iter()
-                .map(|p| self.evaluate_with_jacobian(p))
-                .collect();
-        }
-        self.sim_count.fetch_add(params.len(), Ordering::Relaxed);
-        let lanes: Vec<BatchLane<'_>> = params
-            .iter()
-            .map(|&p| BatchLane {
-                circuit: self.register.circuit(),
-                params: p,
-                tstop: self.tf,
-            })
-            .collect();
-        run_lockstep(&lanes, &opts)
-            .map_err(CharError::from)?
-            .into_iter()
-            .map(|lane| self.jacobian_evaluation(&lane?))
-            .collect()
-    }
-
     /// Extracts an [`HEvaluation`] from a finished final-only transient of
     /// this problem's circuit (shared by the scalar and batched paths).
     fn jacobian_evaluation(

@@ -123,7 +123,9 @@ pub enum FaultKind {
     NonConvergence,
     /// A NaN residual / numerical blow-up.
     NanResidual,
-    /// A local-truncation-error step-size stall at the `dt_min` floor.
+    /// A step-size stall at the `dt_min` floor. Only the injector raises it
+    /// (the transient reports it as a too-small timestep): the fixed-step
+    /// transient cuts steps only when Newton diverges.
     LteStall,
 }
 

@@ -8,25 +8,21 @@
 //!
 //! - [`Matrix`] and [`Vector`]: row-major dense storage with the usual
 //!   arithmetic and iteration APIs;
-//! - [`LuFactor`]: LU factorization with partial pivoting, solves, the
-//!   determinant, and a cheap condition-number estimate — this backs the
-//!   small-circuit Newton-Raphson linear solves in the simulator;
-//! - [`BatchLu`]: many same-dimension dense LU factorizations packed into
-//!   one contiguous allocation, factored one lane per call — used where
-//!   batched work arrives lane-at-a-time (the sensitivity recursion);
-//! - [`SoaLu`]: the structure-of-arrays variant — element-major factors
+//! - [`LuFactor`]: LU factorization with partial pivoting, in-place
+//!   refactorization, and forward/transposed solves — this backs the
+//!   small-circuit Newton-Raphson and sensitivity solves in the simulator;
+//! - [`SoaLu`]: batched structure-of-arrays LU — element-major factors
 //!   processed for *all* lanes per call so the elimination vectorizes
-//!   across lanes (see [`multiversioned!`]) — the linear-solve substrate
-//!   of the lockstep batched sweep engine, bitwise identical per lane to
+//!   across lanes (see [`multiversioned!`]) — the Jacobian solve of the
+//!   lockstep batched sweep engine, bitwise identical per lane to
 //!   [`LuFactor`];
 //! - [`SparseLu`]: KLU-style sparse-direct LU over [`CsrMatrix`] storage —
 //!   fill-reducing ordering, one-time symbolic analysis, allocation-free
-//!   value-only refactorization — the large-circuit solve path;
-//! - [`QrFactor`]: Householder QR, used for least-squares and for the
-//!   general Moore-Penrose pseudo-inverse;
-//! - [`pinv`]: Moore-Penrose pseudo-inverse for full-row-rank "fat"
-//!   matrices, the key ingredient of the MPNR solver of the DAC 2007 paper
-//!   (its eq. (15): `H⁺ = Hᵀ (H Hᵀ)⁻¹`).
+//!   value-only refactorization — the large-circuit solve path.
+//!
+//! The MPNR solver's 1×2 pseudo-inverse (the DAC 2007 paper's eq. (15),
+//! `H⁺ = Hᵀ (H Hᵀ)⁻¹`) is a closed-form expression and lives with its only
+//! caller in `shc-core`.
 //!
 //! # Example
 //!
@@ -43,27 +39,18 @@
 //! # }
 //! ```
 
-mod batch_lu;
 mod error;
 mod lu;
 mod matrix;
-mod pinv;
-mod qr;
 mod simd;
 mod soa_lu;
 mod sparse;
 mod sparse_lu;
 mod vector;
 
-pub use batch_lu::BatchLu;
 pub use error::LinalgError;
 pub use lu::LuFactor;
 pub use matrix::{matrix_allocations, Matrix};
-pub use pinv::{pinv, pinv_fat, PseudoInverse};
-pub use qr::QrFactor;
-// The retired ILU(0)/GMRES iterative stack stays in `sparse` (compiled and
-// unit-tested) but is deliberately not re-exported; `SparseLu` is the
-// supported sparse solve path.
 pub use soa_lu::SoaLu;
 pub use sparse::CsrMatrix;
 pub use sparse_lu::SparseLu;

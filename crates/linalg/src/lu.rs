@@ -45,8 +45,6 @@ pub struct LuFactor {
     lu: Matrix,
     /// Row permutation: row `i` of the factored matrix came from `perm[i]`.
     perm: Vec<usize>,
-    /// Sign of the permutation, ±1 (used by the determinant).
-    perm_sign: f64,
 }
 
 impl LuFactor {
@@ -75,10 +73,23 @@ impl LuFactor {
         let mut factor = LuFactor {
             lu: a.clone(),
             perm: (0..n).collect(),
-            perm_sign: 1.0,
         };
         factor.factor_in_place()?;
         Ok(factor)
+    }
+
+    /// The factorization of the `n×n` identity, written down without
+    /// elimination: allocated storage for later [`LuFactor::refactor`]
+    /// calls. Unlike [`LuFactor::new`] it counts no factorization and
+    /// draws no injected fault, so a solver can size its factor up front
+    /// and keep every factorization in its stepping loop a refactor.
+    ///
+    /// effects: alloc
+    pub fn identity(n: usize) -> Self {
+        LuFactor {
+            lu: Matrix::identity(n),
+            perm: (0..n).collect(),
+        }
     }
 
     /// Re-factors `a` reusing this factor's existing buffers.
@@ -117,12 +128,11 @@ impl LuFactor {
         for (i, p) in self.perm.iter_mut().enumerate() {
             *p = i;
         }
-        self.perm_sign = 1.0;
         self.factor_in_place()
     }
 
     /// Gaussian elimination with partial pivoting over the prepared
-    /// `(lu, perm, perm_sign)` state; `lu` must hold the matrix entries on
+    /// `(lu, perm)` state; `lu` must hold the matrix entries on
     /// entry and holds the packed L/U factors on successful exit.
     fn factor_in_place(&mut self) -> Result<()> {
         let n = self.lu.rows();
@@ -151,7 +161,6 @@ impl LuFactor {
                     lu[(pivot_row, j)] = tmp;
                 }
                 self.perm.swap(k, pivot_row);
-                self.perm_sign = -self.perm_sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -273,40 +282,6 @@ impl LuFactor {
         }
         Ok(x)
     }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Cheap lower bound on the infinity-norm condition number:
-    /// `‖A‖∞ · max|1/u_ii| · n`-free estimate based on diagonal extremes.
-    ///
-    /// This is a heuristic health indicator (SPICE uses similar pivot-ratio
-    /// checks), not a rigorous condition number.
-    pub fn condition_estimate(&self) -> f64 {
-        let n = self.dim();
-        if n == 0 {
-            return 1.0;
-        }
-        let mut max_u = 0.0_f64;
-        let mut min_u = f64::INFINITY;
-        for i in 0..n {
-            let u = self.lu[(i, i)].abs();
-            max_u = max_u.max(u);
-            min_u = min_u.min(u);
-        }
-        // lint: allow(float-eq, reason = "an exactly-zero pivot is the definition of a singular U; tolerance belongs to the caller")
-        if min_u == 0.0 {
-            f64::INFINITY
-        } else {
-            max_u / min_u
-        }
-    }
 }
 
 #[cfg(test)]
@@ -344,14 +319,6 @@ mod tests {
     fn rejects_non_square() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(a.lu(), Err(LinalgError::NotSquare { .. })));
-    }
-
-    #[test]
-    fn determinant_with_permutation_sign() {
-        // det = -2 and requires a row swap for stability.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[2.0, 0.0]]).unwrap();
-        let d = a.lu().unwrap().det();
-        assert!((d + 2.0).abs() < 1e-12, "det = {d}");
     }
 
     #[test]
@@ -401,7 +368,29 @@ mod tests {
             x.sub(&fresh).norm_inf() == 0.0,
             "refactor diverged from new"
         );
-        assert!((lu.det() - LuFactor::new(&b_mat).unwrap().det()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn identity_storage_refactors_like_a_fresh_factor() {
+        let plan = shc_fault::FaultPlan {
+            probability: 1.0,
+            site: Some(shc_fault::Site::LuFactor),
+            kind: shc_fault::FaultKind::SingularMatrix,
+            seed: 7,
+        };
+        let injector = shc_fault::Injector::new(plan);
+        let mut lu = {
+            let _guard = shc_fault::install_scoped(&injector);
+            LuFactor::identity(3)
+        };
+        assert_eq!(injector.injected(), 0, "identity storage drew a fault");
+        let b = Vector::from_slice(&[1.0, -2.0, 3.0]);
+        assert_eq!(lu.solve(&b).unwrap(), b);
+
+        let a = Matrix::from_rows(&[&[0.0, 1.0, 2.0], &[3.0, 4.0, 5.0], &[6.0, 8.0, 1.0]]).unwrap();
+        lu.refactor(&a).unwrap();
+        let fresh = LuFactor::new(&a).unwrap().solve(&b).unwrap();
+        assert_eq!(lu.solve(&b).unwrap().as_slice(), fresh.as_slice());
     }
 
     #[test]
@@ -468,17 +457,5 @@ mod tests {
             other => panic!("expected Singular, got {other:?}"),
         }
         assert_eq!(injector.injected(), 1);
-    }
-
-    #[test]
-    fn condition_estimate_flags_ill_conditioning() {
-        let well = Matrix::identity(3).lu().unwrap().condition_estimate();
-        assert!((well - 1.0).abs() < 1e-12);
-        let ill = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]])
-            .unwrap()
-            .lu()
-            .unwrap()
-            .condition_estimate();
-        assert!(ill > 1e11);
     }
 }

@@ -4,7 +4,7 @@ use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{LinalgError, LuFactor, QrFactor, Result, Vector};
+use crate::{LinalgError, LuFactor, Result, Vector};
 
 thread_local! {
     /// Per-thread count of matrix buffer allocations.
@@ -446,16 +446,6 @@ impl Matrix {
     /// [`LinalgError::Singular`] if a pivot underflows.
     pub fn lu(&self) -> Result<LuFactor> {
         LuFactor::new(self)
-    }
-
-    /// Householder QR factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if the matrix has more columns
-    /// than rows (use the transpose for underdetermined systems).
-    pub fn qr(&self) -> Result<QrFactor> {
-        QrFactor::new(self)
     }
 
     /// Solves `A·x = b` via LU.

@@ -237,12 +237,12 @@ fn solve_impl(out: &mut [f64], lu: &[f64], perm: &[usize], rhs: &[f64], n: usize
 /// (`buf[element·lanes + lane]`) so the elimination and substitution loops
 /// vectorize across lanes.
 ///
-/// This is the linear-solve substrate of the lockstep batched transient
-/// engine. Unlike [`crate::BatchLu`] (lane-major, one lane per call), the
-/// SoA variant runs every lane through each numeric stage unconditionally
-/// — retired lanes stream garbage that costs a vector slot but is never
-/// read — while telemetry counts and fault draws follow only the caller's
-/// active mask, preserving the scalar path's per-lane draw cadence.
+/// This backs the Jacobian solves of the lockstep batched transient
+/// engine. Unlike a loop of per-lane [`crate::LuFactor`]s, it runs every
+/// lane through each numeric stage unconditionally — retired lanes stream
+/// garbage that costs a vector slot but is never read — while telemetry
+/// counts and fault draws follow only the caller's active mask, preserving
+/// the scalar path's per-lane draw cadence.
 ///
 /// Per lane, the arithmetic replicates [`crate::LuFactor`] operation for
 /// operation (same pivot selection, singularity threshold, exact-zero

@@ -98,11 +98,11 @@ pub struct SparseLu {
     /// Fill-reducing column elimination order: step `j` pivots column
     /// `q[j]` of the original matrix.
     q: Vec<usize>,
-    /// Row pivots: step `j` pivots original row `p[j]`; `pinv` is the
+    /// Row pivots: step `j` pivots original row `p[j]`; `pivot_step` is the
     /// inverse map (original row → pivot step, `usize::MAX` while
     /// unpivoted during a factorization).
     p: Vec<usize>,
-    pinv: Vec<usize>,
+    pivot_step: Vec<usize>,
     /// `L` columns (unit diagonal implicit): per pivot step, the original
     /// row index and multiplier of each subdiagonal entry.
     l_ptr: Vec<usize>,
@@ -143,7 +143,7 @@ impl Clone for SparseLu {
             csr_to_csc: self.csr_to_csc.clone(),
             q: self.q.clone(),
             p: self.p.clone(),
-            pinv: self.pinv.clone(),
+            pivot_step: self.pivot_step.clone(),
             l_ptr: self.l_ptr.clone(),
             l_row: self.l_row.clone(),
             l_val: self.l_val.clone(),
@@ -199,7 +199,7 @@ impl SparseLu {
                 csr_to_csc,
                 q,
                 p: vec![0; n],
-                pinv: vec![usize::MAX; n],
+                pivot_step: vec![usize::MAX; n],
                 l_ptr: Vec::with_capacity(n + 1),
                 l_row: Vec::new(),
                 l_val: Vec::new(),
@@ -285,7 +285,7 @@ impl SparseLu {
     /// pattern and pivot order against `a`'s new values, allocation-free.
     ///
     /// If a replayed pivot collapses — magnitude below the singularity
-    /// threshold or below [`REFACTOR_PIVOT_FLOOR`] times its column
+    /// threshold or below 10⁻⁶ (`REFACTOR_PIVOT_FLOOR`) times its column
     /// maximum — the recorded pivot order is no longer numerically safe
     /// and this method transparently falls back to a fresh
     /// [`SparseLu::factor`] with full repivoting.
@@ -437,7 +437,7 @@ impl SparseLu {
     fn factor_with_pivoting(&mut self) -> Result<()> {
         let n = self.n;
         self.x.fill(0.0);
-        self.pinv.fill(usize::MAX);
+        self.pivot_step.fill(usize::MAX);
         self.l_ptr.clear();
         self.l_row.clear();
         self.l_val.clear();
@@ -462,7 +462,7 @@ impl SparseLu {
                     self.stack.push(r);
                     while let Some(i) = self.stack.pop() {
                         self.touched.push(i);
-                        let k = self.pinv[i];
+                        let k = self.pivot_step[i];
                         if k != usize::MAX {
                             self.steps.push(k);
                             for t in self.l_ptr[k]..self.l_ptr[k + 1] {
@@ -502,7 +502,7 @@ impl SparseLu {
             let mut colmax = 0.0_f64;
             let mut best = usize::MAX;
             for &i in &self.touched {
-                if self.pinv[i] == usize::MAX {
+                if self.pivot_step[i] == usize::MAX {
                     let mag = self.x[i].abs();
                     if mag > colmax || best == usize::MAX {
                         colmax = mag;
@@ -517,7 +517,7 @@ impl SparseLu {
                 });
             }
             let mut pivot_row = best;
-            if self.pinv[col] == usize::MAX
+            if self.pivot_step[col] == usize::MAX
                 && self.marked[col] == self.stamp
                 && self.x[col].abs() >= PIVOT_SAFETY * colmax
             {
@@ -526,12 +526,12 @@ impl SparseLu {
 
             let piv = self.x[pivot_row];
             self.p[j] = pivot_row;
-            self.pinv[pivot_row] = j;
+            self.pivot_step[pivot_row] = j;
             self.udiag[j] = piv;
             for &i in &self.touched {
                 // The pattern is kept even for numerically zero entries so
                 // refactorization replays an identical structure.
-                if self.pinv[i] == usize::MAX {
+                if self.pivot_step[i] == usize::MAX {
                     self.l_row.push(i);
                     self.l_val.push(self.x[i] / piv);
                 }

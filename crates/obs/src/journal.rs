@@ -40,7 +40,7 @@ pub struct JournalEvent {
     pub transient_steps: u64,
     /// Inner Newton iterations for this point.
     pub newton_iterations: u64,
-    /// LTE-rejected steps for this point.
+    /// Newton step cuts for this point.
     pub rejected_steps: u64,
     /// Failed corrector attempts (step halvings, bisection fallbacks,
     /// tracer restarts) absorbed since the previous accepted point.

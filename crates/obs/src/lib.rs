@@ -4,7 +4,7 @@
 //! tracer, fan-out sweeps) are instrumented against this crate:
 //!
 //! - **Counters & histograms** ([`count`], [`observe`]) for convergence
-//!   work: Newton iterations, LTE rejections, LU refactors/solves, MPNR
+//!   work: Newton iterations, Newton step cuts, LU refactors/solves, MPNR
 //!   iterations per point, predictor α adaptations, matrix allocations.
 //! - **Spans** ([`span`]) for hierarchical wall-clock timing, attributed
 //!   per `(parent, child)` edge and aware of the worker threads spawned by

@@ -15,7 +15,8 @@ pub enum Metric {
     TransientSteps,
     /// Inner Newton iterations across all transient steps.
     NewtonIterations,
-    /// Steps rejected by the local-truncation-error controller.
+    /// Newton step cuts: attempted transient steps rejected because Newton
+    /// diverged (retried at a smaller step).
     LteRejections,
     /// Fresh LU factorizations (allocating).
     LuFactorizations,
@@ -23,8 +24,6 @@ pub enum Metric {
     LuRefactors,
     /// LU forward/back substitutions.
     LuSolves,
-    /// Moore-Penrose pseudo-inverse solves (MPNR corrector steps).
-    PinvSolves,
     /// Dense matrix buffer allocations (mirrors
     /// `shc_linalg::matrix_allocations`).
     MatrixAllocations,
@@ -65,7 +64,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of metric variants; sizes the collector's atomic arrays.
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 24;
 
     /// All variants, in `repr` order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -76,7 +75,6 @@ impl Metric {
         Metric::LuFactorizations,
         Metric::LuRefactors,
         Metric::LuSolves,
-        Metric::PinvSolves,
         Metric::MatrixAllocations,
         Metric::MpnrSolves,
         Metric::MpnrIterations,
@@ -107,7 +105,6 @@ impl Metric {
             Metric::LuFactorizations => "lu_factorizations",
             Metric::LuRefactors => "lu_refactors",
             Metric::LuSolves => "lu_solves",
-            Metric::PinvSolves => "pinv_solves",
             Metric::MatrixAllocations => "matrix_allocations",
             Metric::MpnrSolves => "mpnr_solves",
             Metric::MpnrIterations => "mpnr_iterations",

@@ -4,7 +4,7 @@
 //! per-run level); this crate answers *where the time went inside a
 //! simulation*: an exact self/total-time tree over a closed taxonomy of
 //! [`Phase`]s (device evaluation, stamping, LU factor/refactor/solve,
-//! LTE control, corrector and tracer bookkeeping, …), with per-phase
+//! sensitivity solves, corrector and tracer bookkeeping, …), with per-phase
 //! invocation counts and work units.
 //!
 //! Like the telemetry collector, instrumentation is always compiled in

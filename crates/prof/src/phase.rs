@@ -51,7 +51,9 @@ pub enum Phase {
     SparseRefactor,
     /// Sparse-LU forward/back substitution.
     SparseSolve,
-    /// Local-truncation-error estimate and step-size control.
+    /// Step-size control. Both stepping loops are fixed-step, so nothing
+    /// records this phase (Newton step cuts are charged to
+    /// `NewtonOverhead`); it stays so reports keep one schema.
     LteControl,
     /// Parameter-sensitivity right-hand sides and solves.
     SensSolve,

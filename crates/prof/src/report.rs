@@ -135,7 +135,7 @@ impl ProfileReport {
         json::push_raw_field(out, first, "nodes", &nodes);
     }
 
-    /// Parses a report written by [`to_json`].
+    /// Parses a report written by [`ProfileReport::to_json`].
     ///
     /// # Errors
     ///

@@ -21,7 +21,8 @@
 //! ```
 //!
 //! where `C_i`, `G_i` are evaluated at the converged states of the forward
-//! run (which must be recorded with [`RecordMode::Full`]).
+//! run (which must be recorded with
+//! [`RecordMode::Full`](crate::transient::RecordMode::Full)).
 
 use shc_linalg::Vector;
 

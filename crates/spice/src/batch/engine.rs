@@ -29,7 +29,7 @@
 //! layout, so per-lane results are unchanged.
 
 // lint: soa-module
-use shc_linalg::{lane_dispatch, multiversioned, BatchLu, SoaLu, Vector};
+use shc_linalg::{lane_dispatch, multiversioned, LuFactor, Matrix, SoaLu, Vector};
 
 use crate::batch::compile::{CompiledCircuit, SoaCircuit};
 use crate::circuit::Circuit;
@@ -45,9 +45,8 @@ use crate::{Result, SpiceError};
 /// Per-step lap slots, mirroring the scalar transient's private chain so
 /// the profile tree shows identical phase structure for batched runs.
 const LAP_NEWTON: usize = 0;
-const LAP_LTE: usize = 1;
-const LAP_SENS: usize = 2;
-const LAP_STEP_SELF: usize = 3;
+const LAP_SENS: usize = 1;
+const LAP_STEP_SELF: usize = 2;
 
 /// Flushes the batch's lap accumulators into the open
 /// `shc_prof::Phase::Transient` frame on every exit path — the batched
@@ -82,7 +81,6 @@ impl Drop for BatchProfFlush<'_> {
                 ..newton
             },
         );
-        record(&[Phase::LteControl], self.step.sample(LAP_LTE));
         record(&[Phase::SensSolve], self.step.sample(LAP_SENS));
     }
 }
@@ -609,7 +607,10 @@ struct Engine<'e> {
     /// soa: lane-major, state
     c_prev: Vec<f64>,
     lu: SoaLu,
-    sens_lu: BatchLu,
+    /// Sensitivity-step factor, refactored for each accepted lane in
+    /// turn (factor and solves complete within one lane's turn, like the
+    /// single-lane scratch below).
+    sens_lu: LuFactor,
     /// Sensitivity states, `lanes·n_sens` stacked n-vectors, lane-major.
     /// soa: lane-major, state
     m: Vec<f64>,
@@ -627,9 +628,9 @@ struct Engine<'e> {
     // consumed within one lane's turn, so one buffer serves all lanes).
     start: Vec<f64>,
     dfdp: Vec<f64>,
-    sens_rhs: Vec<f64>,
-    sens_tmp: Vec<f64>,
-    jac_s: Vec<f64>,
+    sens_rhs: Vector,
+    sens_tmp: Vector,
+    jac_s: Matrix,
 }
 
 impl<'e> Engine<'e> {
@@ -680,7 +681,7 @@ impl<'e> Engine<'e> {
             g: vec![0.0; (n * n + 1) * b],
             c_prev: vec![0.0; if n_sens > 0 { b * n * n } else { 0 }],
             lu: SoaLu::new(b, n),
-            sens_lu: BatchLu::new(if n_sens > 0 { b } else { 0 }, n),
+            sens_lu: LuFactor::identity(n),
             m: vec![0.0; b * n_sens * n],
             params_v: lanes.iter().map(|lane| lane.params).collect(),
             t_v: vec![0.0; b],
@@ -691,9 +692,9 @@ impl<'e> Engine<'e> {
             norms: vec![0.0; b],
             start: vec![0.0; n],
             dfdp: vec![0.0; n],
-            sens_rhs: vec![0.0; n],
-            sens_tmp: vec![0.0; n],
-            jac_s: vec![0.0; n * n],
+            sens_rhs: Vector::zeros(n),
+            sens_tmp: Vector::zeros(n),
+            jac_s: Matrix::zeros(n, n),
         }
     }
 
@@ -1073,7 +1074,7 @@ impl<'e> Engine<'e> {
                 for (i, v) in sens_tmp.iter_mut().enumerate() {
                     *v = x_prev[soa_idx(i, l, b)];
                 }
-                newton::jitter_slice(start, sens_tmp, attempt);
+                newton::jitter_slice(start, sens_tmp.as_slice(), attempt);
             }
             self.newton_start(l, true);
             if self.lanes[l].nw_active {
@@ -1205,13 +1206,16 @@ impl<'e> Engine<'e> {
             // blocks into dense row-major scratch (the scalar `C + dt·G`
             // arithmetic on this lane's values, bit for bit).
             let Engine { jac_s, c, g, .. } = self;
-            for (idx, j) in jac_s.iter_mut().enumerate() {
-                *j = c[idx * b + l] + dt_eff * g[idx * b + l];
+            for row in 0..n {
+                for col in 0..n {
+                    let idx = row * n + col;
+                    jac_s[(row, col)] = c[idx * b + l] + dt_eff * g[idx * b + l];
+                }
             }
         }
         {
             let Engine { sens_lu, jac_s, .. } = self;
-            with_lu_fault_retries(|| sens_lu.factor_lane(l, jac_s))?;
+            with_lu_fault_retries(|| sens_lu.refactor(jac_s))?;
         }
         for k in 0..n_sens {
             let param = self.opts.sensitivities[k];
@@ -1230,7 +1234,7 @@ impl<'e> Engine<'e> {
                     dfdp,
                     ..
                 } = self;
-                mul_vec(&c_prev[m0..m1], &m[s0..s0 + n], n, sens_rhs);
+                mul_vec(&c_prev[m0..m1], &m[s0..s0 + n], n, sens_rhs.as_mut_slice());
                 for (r, d) in sens_rhs.iter_mut().zip(dfdp.iter()) {
                     *r += -dt_eff * d;
                 }
@@ -1242,9 +1246,9 @@ impl<'e> Engine<'e> {
                     sens_tmp,
                     ..
                 } = self;
-                with_lu_fault_retries(|| sens_lu.solve_lane(l, sens_rhs, sens_tmp))?;
+                with_lu_fault_retries(|| sens_lu.solve_into(sens_rhs, sens_tmp))?;
             }
-            self.m[s0..s0 + n].copy_from_slice(&self.sens_tmp);
+            self.m[s0..s0 + n].copy_from_slice(self.sens_tmp.as_slice());
         }
         Ok(())
     }

@@ -23,7 +23,7 @@ pub enum SpiceError {
         time: f64,
         /// The rejected step size.
         dt: f64,
-        /// LTE/Newton step rejections accumulated before the abort.
+        /// Newton step cuts accumulated before the abort.
         rejected_steps: usize,
     },
     /// Circuit construction problem (bad node, duplicate name, empty netlist…).

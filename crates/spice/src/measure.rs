@@ -142,23 +142,6 @@ pub fn swing(
     Ok((min, max))
 }
 
-/// Whether the trajectory stays within `±tol` of `level` from `t_after` to
-/// the end (settling check).
-///
-/// # Errors
-///
-/// [`MeasureError`] if the trajectory is missing.
-pub fn settles_to(
-    result: &TransientResult,
-    unknown: usize,
-    level: f64,
-    tol: f64,
-    t_after: f64,
-) -> Result<bool, MeasureError> {
-    let (min, max) = swing(result, unknown, t_after)?;
-    Ok(min >= level - tol && max <= level + tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,15 +252,18 @@ mod tests {
         let (min, max) = swing(&res, vout, 0.0).unwrap();
         assert!(min >= -1e-6 && max <= 1.0 + 1e-6);
         assert!(max > 0.99, "output should approach 1 V, max {max}");
-        // The full window includes the post-pulse discharge: not settled.
-        assert!(!settles_to(&res, vout, 1.0, 0.02, 4.4e-7).unwrap());
+        // The full window includes the post-pulse discharge: not settled
+        // within 2% of the top.
+        let (lo, hi) = swing(&res, vout, 4.4e-7).unwrap();
+        assert!(lo < 1.0 - 0.02 || hi > 1.0 + 0.02, "swing {lo}..{hi}");
         // A run truncated before the pulse ends is settled at the top.
         let (c, _, _) = pulsed_rc();
         let opts = TransientOptions::builder(4.5e-7).dt(2e-10).build();
         let charged = TransientAnalysis::new(&c, opts)
             .run(&Params::default())
             .unwrap();
-        assert!(settles_to(&charged, vout, 1.0, 0.05, 4.0e-7).unwrap());
+        let (lo, hi) = swing(&charged, vout, 4.0e-7).unwrap();
+        assert!(lo >= 1.0 - 0.05 && hi <= 1.0 + 0.05, "swing {lo}..{hi}");
     }
 
     #[test]

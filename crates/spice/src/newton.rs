@@ -375,46 +375,15 @@ pub(crate) fn jitter_slice(out: &mut [f64], base: &[f64], attempt: u32) {
     }
 }
 
-/// [`solve_in_place`] plus a bounded damped-retry recovery policy.
+/// Bounded damped-retry recovery for callers that have already run (and
+/// seen fail) a plain [`solve_in_place`] attempt.
 ///
-/// The first attempt is *exactly* `solve_in_place` — same iterates, same
-/// result — so this wrapper is bitwise-transparent whenever Newton
-/// converges. On a retryable failure (divergence, blow-up, singular
-/// Jacobian) it re-solves up to `retries` more times, each from a
+/// On a retryable `first` failure (divergence, blow-up, singular
+/// Jacobian) it re-solves up to `retries` times, each from a
 /// deterministically jittered copy of `x0` with the voltage-limiting step
-/// cap halved (stronger damping), and reports a rescue to telemetry. The
-/// last failure is returned when every retry is exhausted.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_in_place`].
-///
-/// # Panics
-///
-/// Panics if `x0.len() != ws.dim()`.
-pub fn solve_in_place_recovering<F>(
-    ws: &mut NewtonWorkspace,
-    x0: &Vector,
-    opts: &NewtonOptions,
-    retries: usize,
-    mut assemble: F,
-) -> Result<usize>
-where
-    F: FnMut(&Vector, &mut Vector, &mut Matrix) -> Result<()>,
-{
-    match solve_in_place(ws, x0, opts, &mut assemble) {
-        Ok(iters) => Ok(iters),
-        Err(e) if retries > 0 && retryable(&e) => {
-            retry_in_place(ws, x0, opts, retries, e, assemble)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// The retry half of [`solve_in_place_recovering`], for callers that have
-/// already run (and seen fail) the plain first attempt: up to `retries`
-/// damped solves from jittered starts. Returns the rescued iteration count
-/// or the last failure (`first` when nothing improved on it).
+/// cap halved per attempt (stronger damping), and reports a rescue to
+/// telemetry. Returns the rescued iteration count, or the last failure
+/// (`first` itself when it is not retryable).
 pub(crate) fn retry_in_place<F>(
     ws: &mut NewtonWorkspace,
     x0: &Vector,
@@ -634,23 +603,43 @@ mod tests {
     }
 
     #[test]
-    fn recovering_solve_is_transparent_when_newton_converges() {
+    fn retry_converges_to_the_plain_solve_root() {
         let x0 = Vector::from_slice(&[2.5, 0.5]);
         let opts = NewtonOptions {
             max_step: f64::INFINITY,
             ..NewtonOptions::default()
         };
         let mut ws = NewtonWorkspace::new(2);
-        let iters = solve_in_place(&mut ws, &x0, &opts, fill_2d).unwrap();
-        let plain = ws.x().as_slice().to_vec();
+        solve_in_place(&mut ws, &x0, &opts, fill_2d).unwrap();
+        let plain = ws.x().clone();
+
+        // A retryable failure is re-solved from a jittered start and lands
+        // on the same root.
+        let diverged = SpiceError::NewtonDiverged {
+            context: "test",
+            iterations: 0,
+            residual: f64::INFINITY,
+        };
         let mut ws2 = NewtonWorkspace::new(2);
-        let iters2 = solve_in_place_recovering(&mut ws2, &x0, &opts, 3, fill_2d).unwrap();
-        assert_eq!(iters, iters2);
-        assert_eq!(ws2.x().as_slice(), plain.as_slice());
+        retry_in_place(&mut ws2, &x0, &opts, 3, diverged, fill_2d).unwrap();
+        assert!(ws2.x().sub(&plain).norm_inf() < 1e-9);
+
+        // A non-retryable failure comes back untouched, without a solve.
+        let bad = SpiceError::BadCircuit {
+            reason: "test".into(),
+        };
+        let mut calls = 0;
+        let err = retry_in_place(&mut ws2, &x0, &opts, 3, bad, |x, f, j| {
+            calls += 1;
+            fill_2d(x, f, j)
+        })
+        .unwrap_err();
+        assert!(matches!(err, SpiceError::BadCircuit { .. }), "{err:?}");
+        assert_eq!(calls, 0);
     }
 
     #[test]
-    fn injected_fault_fails_plain_solve_and_recovering_solve_rescues_it() {
+    fn injected_fault_fails_plain_solve_and_retry_rescues_it() {
         use shc_fault::{FaultKind, FaultPlan, Injector, Site};
 
         let plan_with = |seed: u64| FaultPlan {
@@ -675,22 +664,17 @@ mod tests {
             ..NewtonOptions::default()
         };
 
-        // Plain solve: the injected fault surfaces as NewtonDiverged.
-        let inj = Injector::new(plan_with(seed));
-        let guard = shc_fault::install_scoped(&inj);
-        let mut ws = NewtonWorkspace::new(2);
-        let err = solve_in_place(&mut ws, &x0, &opts, fill_2d).unwrap_err();
-        assert!(matches!(err, SpiceError::NewtonDiverged { .. }), "{err:?}");
-        drop(guard);
-
-        // Recovering solve under the same plan: retry rescues, telemetry
-        // records both the injection and the recovery.
+        // Plain solve: the injected fault surfaces as NewtonDiverged. The
+        // retry under the same plan rescues it, and telemetry records both
+        // the injection and the recovery.
         let collector = shc_obs::Collector::new();
         let _obs = shc_obs::install_scoped(&collector);
         let inj = Injector::new(plan_with(seed));
         let _g = shc_fault::install_scoped(&inj);
         let mut ws = NewtonWorkspace::new(2);
-        solve_in_place_recovering(&mut ws, &x0, &opts, 2, fill_2d).unwrap();
+        let err = solve_in_place(&mut ws, &x0, &opts, fill_2d).unwrap_err();
+        assert!(matches!(err, SpiceError::NewtonDiverged { .. }), "{err:?}");
+        retry_in_place(&mut ws, &x0, &opts, 2, err, fill_2d).unwrap();
         assert!((ws.x()[0] - 2.0).abs() < 1e-6);
         assert!((ws.x()[1] - 1.0).abs() < 1e-6);
         assert_eq!(inj.injected(), 1);
@@ -699,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn recovering_solve_exhausts_retries_and_reports_last_failure() {
+    fn retry_exhausts_its_budget_and_reports_last_failure() {
         use shc_fault::{FaultKind, FaultPlan, Injector, Site};
         let inj = Injector::new(FaultPlan {
             probability: 1.0,
@@ -709,9 +693,10 @@ mod tests {
         });
         let _g = shc_fault::install_scoped(&inj);
         let x0 = Vector::from_slice(&[2.5, 0.5]);
+        let opts = NewtonOptions::default();
         let mut ws = NewtonWorkspace::new(2);
-        let err = solve_in_place_recovering(&mut ws, &x0, &NewtonOptions::default(), 3, fill_2d)
-            .unwrap_err();
+        let first = solve_in_place(&mut ws, &x0, &opts, fill_2d).unwrap_err();
+        let err = retry_in_place(&mut ws, &x0, &opts, 3, first, fill_2d).unwrap_err();
         assert!(matches!(err, SpiceError::NewtonDiverged { .. }));
         assert_eq!(inj.injected(), 4, "initial attempt + 3 retries");
     }

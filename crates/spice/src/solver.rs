@@ -134,24 +134,12 @@ impl SparseJacSolver {
         self.csr.rows()
     }
 
-    /// Structural nonzeros in the analyzed Jacobian pattern.
-    #[must_use]
-    pub fn pattern_nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The probed Jacobian positions, sorted by `(row, col)` and
     /// duplicate-free. The transient hot loop uses this to confine its
     /// stamp clears and Jacobian combines to the structural nonzeros.
     #[must_use]
     pub fn pattern(&self) -> &[(usize, usize)] {
         &self.entries
-    }
-
-    /// Whether the first factorization has happened yet.
-    #[must_use]
-    pub fn is_factored(&self) -> bool {
-        self.lu.is_some()
     }
 
     /// True when `circuit` probes to exactly the analyzed pattern, i.e.
@@ -286,7 +274,9 @@ mod tests {
         let n = circuit.unknown_count();
         let mut solver = SparseJacSolver::new(&circuit, &params).unwrap();
         assert_eq!(solver.dim(), n);
-        assert!(!solver.is_factored());
+        // Not factored yet: a solve is refused rather than answered.
+        let mut out = Vector::zeros(n);
+        assert!(solver.solve_into(&Vector::zeros(n), &mut out).is_err());
 
         // Assemble at a nonzero state so C and G carry real values.
         let mut x = Vector::zeros(n);

@@ -1,7 +1,8 @@
 //! Transient analysis with forward sensitivity propagation.
 //!
 //! Integrates the circuit DAE `d/dt q(x) + f(x, t) = 0` with Backward Euler
-//! or the Trapezoidal rule, fixed or LTE-adaptive steps. Alongside the state,
+//! or the Trapezoidal rule on a fixed step, cut only when Newton diverges
+//! and grown back after each accepted step. Alongside the state,
 //! it can propagate the forward sensitivities `m_p(t) = ∂x/∂p` for the skew
 //! parameters, using the recursions of the paper's eqs. (11) and (13):
 //!
@@ -82,24 +83,17 @@ pub(crate) const DT_FLOOR_SLACK: f64 = 1.0 + 1e-9;
 /// against a final ulp-sized step that Newton would reject.
 pub(crate) const TSTOP_ENDPOINT_SLACK: f64 = 1e-18;
 
-/// A step is accepted when the weighted LTE norm is at or below this
-/// value — the norm is already scaled by `lte_reltol`/`lte_abstol`, so
-/// 1.0 means "error exactly at tolerance".
-const LTE_ACCEPT_NORM: f64 = 1.0;
-
 /// Per-step lap slots (see `shc_prof::Laps`): the stepping loop is a
-/// contiguous chain NEWTON → LTE → SENS → STEP_SELF, one clock read per
-/// boundary, so the default profiling detail costs ~4 reads per step.
+/// contiguous chain NEWTON → SENS → STEP_SELF, one clock read per
+/// boundary, so the default profiling detail costs ~3 reads per step.
 const LAP_NEWTON: usize = 0;
-/// LTE estimate and step-size control (adaptive mode).
-const LAP_LTE: usize = 1;
 /// Accepted-point re-stamp plus the sensitivity factor/solves — the
 /// re-stamp exists to furnish exact `C_i`, `G_i` for this recursion, so
 /// it is charged here.
-const LAP_SENS: usize = 2;
+const LAP_SENS: usize = 1;
 /// History rotation and result recording; never flushed — it remains the
 /// `Transient` frame's own self-time.
-const LAP_STEP_SELF: usize = 3;
+const LAP_STEP_SELF: usize = 2;
 
 /// Flushes the per-run lap accumulators into the profile tree, exactly
 /// once, when the run exits — on success, on error returns, and on
@@ -151,15 +145,9 @@ impl Drop for ProfFlush<'_> {
                 ..newton
             },
         );
-        record(&[Phase::LteControl], self.step.sample(LAP_LTE));
         record(&[Phase::SensSolve], self.step.sample(LAP_SENS));
     }
 }
-
-/// Below this weighted LTE norm the step size is allowed to grow: the
-/// error is far enough under tolerance that a larger step will likely
-/// still be accepted, and re-stamping cost dominates.
-const LTE_GROW_NORM: f64 = 0.2;
 
 /// Time-integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,9 +158,6 @@ pub enum Integrator {
     BackwardEuler,
     /// Trapezoidal rule: A-stable, second order.
     Trapezoidal,
-    /// Gear-2 (BDF2): L-stable, second order; variable-step coefficients.
-    /// Falls back to Backward Euler on the first step (no history yet).
-    Gear2,
 }
 
 /// What state history to retain.
@@ -202,14 +187,12 @@ pub enum InitialCondition {
 pub struct TransientOptions {
     /// Stop time in seconds.
     pub tstop: f64,
-    /// (Initial) time step in seconds.
+    /// Time step in seconds.
     pub dt: f64,
-    /// Minimum step before aborting (adaptive mode).
+    /// Floor for Newton step cuts: a step that diverges is retried at a
+    /// quarter of its size, never below this; a divergence at the floor
+    /// gets jittered damped-Newton retries before the run fails.
     pub dt_min: f64,
-    /// Maximum step (adaptive mode).
-    pub dt_max: f64,
-    /// Use LTE-based adaptive stepping.
-    pub adaptive: bool,
     /// Integration method.
     pub integrator: Integrator,
     /// Newton settings per time step.
@@ -222,10 +205,6 @@ pub struct TransientOptions {
     pub record: RecordMode,
     /// Initial condition.
     pub initial: InitialCondition,
-    /// LTE relative tolerance (adaptive mode).
-    pub lte_reltol: f64,
-    /// LTE absolute tolerance in volts (adaptive mode).
-    pub lte_abstol: f64,
     /// Linear-solver backend for the per-step Newton solves (and, via
     /// [`DcOptions::solver`], the DC operating point).
     pub solver: SolverChoice,
@@ -239,16 +218,12 @@ impl TransientOptions {
                 tstop,
                 dt: tstop / 1000.0,
                 dt_min: tstop * 1e-9,
-                dt_max: tstop / 100.0,
-                adaptive: false,
                 integrator: Integrator::default(),
                 newton: NewtonOptions::default(),
                 dc: DcOptions::default(),
                 sensitivities: Vec::new(),
                 record: RecordMode::default(),
                 initial: InitialCondition::default(),
-                lte_reltol: 1e-3,
-                lte_abstol: 1e-4,
                 solver: SolverChoice::Auto,
             },
         }
@@ -262,17 +237,9 @@ pub struct TransientOptionsBuilder {
 }
 
 impl TransientOptionsBuilder {
-    /// Sets the (initial) time step.
+    /// Sets the time step.
     pub fn dt(mut self, dt: f64) -> Self {
         self.opts.dt = dt;
-        self
-    }
-
-    /// Enables LTE-adaptive stepping with the given bounds.
-    pub fn adaptive(mut self, dt_min: f64, dt_max: f64) -> Self {
-        self.opts.adaptive = true;
-        self.opts.dt_min = dt_min;
-        self.opts.dt_max = dt_max;
         self
     }
 
@@ -336,7 +303,7 @@ pub struct TransientStats {
     pub steps: usize,
     /// Total Newton iterations across all steps.
     pub newton_iterations: usize,
-    /// Steps rejected by LTE control.
+    /// Newton step cuts: attempted steps rejected because Newton diverged.
     pub rejected_steps: usize,
 }
 
@@ -606,7 +573,7 @@ impl<'a> TransientAnalysis<'a> {
         let circuit = self.circuit;
         let opts = &self.opts;
         let n = circuit.unknown_count();
-        scratch.ensure(n, opts.sensitivities.len());
+        scratch.ensure(n);
         scratch.configure_solver(circuit, params, opts.solver)?;
 
         let x0 = match &opts.initial {
@@ -647,25 +614,19 @@ impl<'a> TransientAnalysis<'a> {
 
         // Borrow every workspace buffer up front as disjoint fields so the
         // Newton closure (which mutates `nr_stamps`) can coexist with the
-        // shared borrows of the history stamps.
+        // shared borrow of the previous step's stamps.
         let TransientScratch {
             newton: nw,
             nr_stamps,
             stamps_prev,
             stamps_new,
-            stamps_hist,
             sens_jac,
             sens_lu,
             sens_sparse,
             sens_rhs,
-            sens_tmp,
             cg_tmp,
             dfdp_tmp,
             zero_x,
-            lte_pred,
-            lte_err,
-            hist_x,
-            hist_sens,
             jac_pattern,
         } = scratch;
 
@@ -699,29 +660,12 @@ impl<'a> TransientAnalysis<'a> {
             .iter()
             .map(|&p| circuit.assemble_dfdp(0.0, params, p))
             .collect();
-        // Time of the two-steps-ago state. While `Some`, that state lives
-        // in the workspace history buffers: `hist_x` (the LTE predictor),
-        // `stamps_hist` (Gear-2's q and C), and `hist_sens` (the old
-        // sensitivities).
-        let mut hist_t: Option<f64> = None;
 
         let mut dt = opts.dt.min(opts.tstop);
 
         while t_prev < opts.tstop - TSTOP_ENDPOINT_SLACK * opts.tstop.max(1.0) {
             let t_new = (t_prev + dt).min(opts.tstop);
             let dt_eff = t_new - t_prev;
-
-            // Variable-step BDF2 coefficients for r = h1/h0:
-            // c0·q_i − c1·q_{i−1} + c2·q_{i−2} + h1·f_i = 0,
-            // c0 = (1+2r)/(1+r), c1 = 1+r, c2 = r²/(1+r).
-            let gear_coeffs = hist_t.map(|t2| {
-                let r_ = dt_eff / (t_prev - t2);
-                (
-                    (1.0 + 2.0 * r_) / (1.0 + r_),
-                    1.0 + r_,
-                    r_ * r_ / (1.0 + r_),
-                )
-            });
 
             // Newton solve of the discretized step equation. Residual and
             // Jacobian are built directly in the workspace buffers; no
@@ -738,12 +682,12 @@ impl<'a> TransientAnalysis<'a> {
                 lap_iter.end_region(newton::lap::DEV);
                 lap_iter.bump(newton::lap::DEV, 1, device_work);
                 let s = &*nr_stamps;
-                let (c_scale, a) = match integ {
+                let a = match integ {
                     Integrator::BackwardEuler => {
                         r.copy_from(&s.q);
                         r.axpy(-1.0, &stamps_prev.q);
                         r.axpy(dt_eff, &s.f);
-                        (None, dt_eff)
+                        dt_eff
                     }
                     Integrator::Trapezoidal => {
                         let half = 0.5 * dt_eff;
@@ -751,27 +695,10 @@ impl<'a> TransientAnalysis<'a> {
                         r.axpy(-1.0, &stamps_prev.q);
                         r.axpy(half, &s.f);
                         r.axpy(half, &stamps_prev.f);
-                        (None, half)
+                        half
                     }
-                    Integrator::Gear2 => match gear_coeffs {
-                        Some((c0, c1, c2)) => {
-                            r.copy_from(&s.q);
-                            r.scale_mut(c0);
-                            r.axpy(-c1, &stamps_prev.q);
-                            r.axpy(c2, &stamps_hist.q);
-                            r.axpy(dt_eff, &s.f);
-                            (Some(c0), dt_eff)
-                        }
-                        None => {
-                            // First step: Backward Euler.
-                            r.copy_from(&s.q);
-                            r.axpy(-1.0, &stamps_prev.q);
-                            r.axpy(dt_eff, &s.f);
-                            (None, dt_eff)
-                        }
-                    },
                 };
-                combine_step_jacobian_into(j, &s.c, &s.g, c_scale, a, pattern)?;
+                combine_step_jacobian_into(j, &s.c, &s.g, a, pattern)?;
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 Ok(())
@@ -834,47 +761,6 @@ impl<'a> TransientAnalysis<'a> {
                 return Err(SpiceError::NumericalBlowup { time: t_new });
             }
 
-            // LTE control (adaptive only, needs two history points).
-            if opts.adaptive {
-                if let Some(t2) = hist_t {
-                    let dt_old = t_prev - t2;
-                    if dt_old > 0.0 {
-                        // pred = x_prev + (x_prev − x_hist)·(Δt_new/Δt_old)
-                        lte_err.copy_from(&x_prev);
-                        lte_err.axpy(-1.0, hist_x);
-                        lte_pred.copy_from(&x_prev);
-                        lte_pred.axpy(dt_eff / dt_old, lte_err);
-                        lte_err.copy_from(x_new);
-                        lte_err.axpy(-1.0, lte_pred);
-                        let norm = lte_err.weighted_norm(x_new, opts.lte_reltol, opts.lte_abstol);
-                        if norm > LTE_ACCEPT_NORM {
-                            if dt_eff > opts.dt_min * DT_FLOOR_SLACK {
-                                dt = (dt_eff * 0.5).max(opts.dt_min);
-                                stats.rejected_steps += 1;
-                                lap_step.end_region(LAP_LTE);
-                                lap_step.bump(LAP_LTE, 1, 0);
-                                continue;
-                            }
-                            // The LTE is still out of tolerance at the step
-                            // floor: the integration has stalled. Abort with
-                            // a typed diagnostic instead of silently
-                            // accepting an inaccurate step.
-                            stats.rejected_steps += 1;
-                            return Err(SpiceError::TimestepTooSmall {
-                                time: t_prev,
-                                dt: dt_eff,
-                                rejected_steps: stats.rejected_steps,
-                            });
-                        }
-                        if norm < LTE_GROW_NORM {
-                            dt = (dt_eff * 1.5).min(opts.dt_max);
-                        }
-                    }
-                }
-                lap_step.end_region(LAP_LTE);
-                lap_step.bump(LAP_LTE, 1, 0);
-            }
-
             // Accepted: re-stamp at the converged point for exact C_i, G_i,
             // q_i, f_i and the sensitivity solves.
             match pattern {
@@ -882,25 +768,11 @@ impl<'a> TransientAnalysis<'a> {
                 None => circuit.assemble_into(stamps_new, x_new, t_new, params, 1.0),
             }
             if !sens.is_empty() {
-                let gear_sens_coeffs = if matches!(opts.integrator, Integrator::Gear2) {
-                    gear_coeffs
-                } else {
-                    None
+                let a = match opts.integrator {
+                    Integrator::BackwardEuler => dt_eff,
+                    Integrator::Trapezoidal => 0.5 * dt_eff,
                 };
-                let (c_scale, a) = match (opts.integrator, &gear_sens_coeffs) {
-                    (Integrator::BackwardEuler, _) => (None, dt_eff),
-                    (Integrator::Trapezoidal, _) => (None, 0.5 * dt_eff),
-                    (Integrator::Gear2, Some((c0, _, _))) => (Some(*c0), dt_eff),
-                    (Integrator::Gear2, None) => (None, dt_eff), // first step: BE
-                };
-                combine_step_jacobian_into(
-                    sens_jac,
-                    &stamps_new.c,
-                    &stamps_new.g,
-                    c_scale,
-                    a,
-                    pattern,
-                )?;
+                combine_step_jacobian_into(sens_jac, &stamps_new.c, &stamps_new.g, a, pattern)?;
                 // The sensitivity solves reuse whichever backend the
                 // Newton path runs on, factoring the sensitivity Jacobian
                 // once per accepted step and back-substituting per
@@ -930,38 +802,30 @@ impl<'a> TransientAnalysis<'a> {
                 };
                 for (k, (param, m)) in sens.iter_mut().enumerate() {
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
-                    match (opts.integrator, &gear_sens_coeffs) {
-                        (Integrator::BackwardEuler, _) | (Integrator::Gear2, None) => {
-                            stamps_prev.c.mul_vec_into(m, sens_rhs);
+                    stamps_prev.c.mul_vec_into(m, sens_rhs);
+                    match opts.integrator {
+                        Integrator::BackwardEuler => {
                             sens_rhs.axpy(-dt_eff, dfdp_tmp);
                         }
-                        (Integrator::Trapezoidal, _) => {
+                        Integrator::Trapezoidal => {
                             let half = 0.5 * dt_eff;
-                            stamps_prev.c.mul_vec_into(m, sens_rhs);
                             stamps_prev.g.mul_vec_into(m, cg_tmp);
                             sens_rhs.axpy(-half, cg_tmp);
                             sens_rhs.axpy(-half, dfdp_tmp);
                             sens_rhs.axpy(-half, &dfdp_prev[k]);
                         }
-                        (Integrator::Gear2, Some((_, c1, c2))) => {
-                            stamps_prev.c.mul_vec_into(m, sens_rhs);
-                            sens_rhs.scale_mut(*c1);
-                            stamps_hist.c.mul_vec_into(&hist_sens[k], cg_tmp);
-                            sens_rhs.axpy(-*c2, cg_tmp);
-                            sens_rhs.axpy(-dt_eff, dfdp_tmp);
-                        }
                     }
+                    // The right-hand side is complete, so the solve may
+                    // overwrite `m` in place (a fault retry re-solves from
+                    // the unchanged `sens_rhs`).
                     match &mut sens_solver {
                         SensSolver::Dense(lu) => {
-                            with_lu_fault_retries(|| lu.solve_into(sens_rhs, sens_tmp))?;
+                            with_lu_fault_retries(|| lu.solve_into(sens_rhs, m))?;
                         }
                         SensSolver::Sparse(sp) => {
-                            with_lu_fault_retries(|| sp.solve_into(sens_rhs, sens_tmp))?;
+                            with_lu_fault_retries(|| sp.solve_into(sens_rhs, m))?;
                         }
                     }
-                    // Rotate: the pre-update m becomes the two-ago history.
-                    mem::swap(&mut hist_sens[k], m);
-                    m.copy_from(sens_tmp);
                     mem::swap(&mut dfdp_prev[k], dfdp_tmp);
                 }
             }
@@ -976,29 +840,17 @@ impl<'a> TransientAnalysis<'a> {
                 RecordMode::FinalOnly => {}
             }
 
-            // History rotation, allocation-free: the previous step's state
-            // and stamps become the two-ago buffers, and the freshly
-            // stamped step becomes the previous one. The displaced two-ago
-            // buffers are recycled as the next step's assembly targets.
-            hist_t = Some(t_prev);
-            mem::swap(hist_x, &mut x_prev);
+            // History rotation, allocation-free: the freshly stamped step
+            // becomes the previous one, and the displaced buffers are
+            // recycled as the next step's assembly target.
             x_prev.copy_from(x_new);
-            mem::swap(stamps_hist, stamps_prev);
             mem::swap(stamps_prev, stamps_new);
             t_prev = t_new;
 
-            // In fixed-step mode a Newton-failure cut must not persist:
-            // recover toward the configured step after each accepted step.
-            if !opts.adaptive && dt < opts.dt {
+            // A Newton-failure cut must not persist: recover toward the
+            // configured step after each accepted step.
+            if dt < opts.dt {
                 dt = (dt * 2.0).min(opts.dt);
-            }
-
-            if opts.adaptive && dt < opts.dt_min {
-                return Err(SpiceError::TimestepTooSmall {
-                    time: t_prev,
-                    dt,
-                    rejected_steps: stats.rejected_steps,
-                });
             }
             lap_step.end_region(LAP_STEP_SELF);
         }
@@ -1015,33 +867,27 @@ impl<'a> TransientAnalysis<'a> {
     }
 }
 
-/// Writes the step Jacobian `c_scale·C + a·G` into `j` (`c_scale` is
-/// `None` for the integrators whose charge term is unscaled): densely, or
-/// — when the sparse path supplies the probed pattern — only at the
-/// pattern positions, leaving the structurally-zero remainder untouched.
-/// The dense branch preserves the exact copy/scale/axpy arithmetic order
-/// so the dense path stays bitwise identical to its golden history.
+/// Writes the step Jacobian `C + a·G` into `j`: densely, or — when the
+/// sparse path supplies the probed pattern — only at the pattern
+/// positions, leaving the structurally-zero remainder untouched. The dense
+/// branch preserves the exact copy/axpy arithmetic order so the dense path
+/// stays bitwise identical to its golden history.
 // lint: hot-fn
 fn combine_step_jacobian_into(
     j: &mut Matrix,
     c: &Matrix,
     g: &Matrix,
-    c_scale: Option<f64>,
     a: f64,
     pattern: Option<&[(usize, usize)]>,
 ) -> Result<()> {
     match pattern {
         Some(entries) => {
-            let s = c_scale.unwrap_or(1.0);
             for &(row, col) in entries {
-                j[(row, col)] = s * c[(row, col)] + a * g[(row, col)];
+                j[(row, col)] = c[(row, col)] + a * g[(row, col)];
             }
         }
         None => {
             j.copy_from(c)?;
-            if let Some(s) = c_scale {
-                j.scale_mut(s);
-            }
             j.axpy(a, g)?;
         }
     }
@@ -1053,9 +899,9 @@ fn combine_step_jacobian_into(
 /// A characterization sweep performs thousands of transient runs over a
 /// fixed-dimension circuit; this workspace owns every per-step buffer —
 /// the Newton iterate/residual/Jacobian/LU factors, the assembly stamps
-/// for the current, previous, and two-steps-ago time points, the
-/// sensitivity solve temporaries, and the LTE predictor scratch — so the
-/// stepping loop performs no matrix allocation once the buffers are warm.
+/// for the current and previous time points, and the sensitivity solve
+/// temporaries — so the stepping loop performs no matrix allocation once
+/// the buffers are warm.
 /// Not `Sync`: create one per thread when running sweeps in parallel.
 #[derive(Debug)]
 pub struct TransientScratch {
@@ -1063,21 +909,15 @@ pub struct TransientScratch {
     nr_stamps: Stamps,
     stamps_prev: Stamps,
     stamps_new: Stamps,
-    stamps_hist: Stamps,
     sens_jac: Matrix,
     sens_lu: Option<LuFactor>,
     /// Sparse-path sensitivity solver; created (cold) by cloning the
     /// Newton solver so both share one symbolic analysis.
     sens_sparse: Option<SparseJacSolver>,
     sens_rhs: Vector,
-    sens_tmp: Vector,
     cg_tmp: Vector,
     dfdp_tmp: Vector,
     zero_x: Vector,
-    lte_pred: Vector,
-    lte_err: Vector,
-    hist_x: Vector,
-    hist_sens: Vec<Vector>,
     /// Copy of the sparse solver's Jacobian pattern (empty on the dense
     /// path), held outside the Newton workspace so the assembly closure
     /// can address the stamp matrices sparsely while the workspace is
@@ -1093,19 +933,13 @@ impl TransientScratch {
             nr_stamps: Stamps::new(n),
             stamps_prev: Stamps::new(n),
             stamps_new: Stamps::new(n),
-            stamps_hist: Stamps::new(n),
             sens_jac: Matrix::zeros(n, n),
             sens_lu: None,
             sens_sparse: None,
             sens_rhs: Vector::zeros(n),
-            sens_tmp: Vector::zeros(n),
             cg_tmp: Vector::zeros(n),
             dfdp_tmp: Vector::zeros(n),
             zero_x: Vector::zeros(n),
-            lte_pred: Vector::zeros(n),
-            lte_err: Vector::zeros(n),
-            hist_x: Vector::zeros(n),
-            hist_sens: Vec::new(),
             jac_pattern: Vec::new(),
         }
     }
@@ -1115,14 +949,11 @@ impl TransientScratch {
         self.zero_x.len()
     }
 
-    /// Resizes (re-allocating) only when the circuit dimension or
-    /// sensitivity count changed since the last run.
-    fn ensure(&mut self, n: usize, n_sens: usize) {
+    /// Resizes (re-allocating) only when the circuit dimension changed
+    /// since the last run.
+    fn ensure(&mut self, n: usize) {
         if self.dim() != n {
             *self = TransientScratch::new(n);
-        }
-        if self.hist_sens.len() != n_sens {
-            self.hist_sens = (0..n_sens).map(|_| Vector::zeros(n)).collect();
         }
     }
 
@@ -1164,7 +995,6 @@ impl TransientScratch {
             self.nr_stamps.clear();
             self.stamps_prev.clear();
             self.stamps_new.clear();
-            self.stamps_hist.clear();
             self.sens_jac.fill_zero();
         } else {
             self.newton.set_sparse_solver(None);
@@ -1219,51 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn gear2_matches_analytic_rc_decay() {
-        let (c, out) = rc_circuit();
-        let mut x0 = Vector::zeros(c.unknown_count());
-        x0[0] = 1.0;
-        let opts = TransientOptions::builder(1e-6)
-            .dt(2e-8)
-            .integrator(Integrator::Gear2)
-            .initial(InitialCondition::Given(x0))
-            .build();
-        let res = TransientAnalysis::new(&c, opts)
-            .run(&Params::default())
-            .unwrap();
-        let exact = 1.0 - (-1.0f64).exp();
-        let err = (res.final_state()[out] - exact).abs();
-        // Second order: visibly better than BE at the same step.
-        assert!(err < 2e-3, "gear2 error {err}");
-    }
-
-    #[test]
-    fn gear2_is_more_accurate_than_be() {
-        let (c, out) = rc_circuit();
-        let mut x0 = Vector::zeros(c.unknown_count());
-        x0[0] = 1.0;
-        let exact = 1.0 - (-1.0f64).exp();
-        let mut errs = Vec::new();
-        for method in [Integrator::BackwardEuler, Integrator::Gear2] {
-            let opts = TransientOptions::builder(1e-6)
-                .dt(2e-8)
-                .integrator(method)
-                .initial(InitialCondition::Given(x0.clone()))
-                .build();
-            let res = TransientAnalysis::new(&c, opts)
-                .run(&Params::default())
-                .unwrap();
-            errs.push((res.final_state()[out] - exact).abs());
-        }
-        assert!(
-            errs[1] < errs[0] / 3.0,
-            "gear2 err {} should beat BE err {}",
-            errs[1],
-            errs[0]
-        );
-    }
-
-    #[test]
     fn trapezoidal_is_more_accurate_than_be() {
         let (c, out) = rc_circuit();
         let mut x0 = Vector::zeros(c.unknown_count());
@@ -1300,23 +1085,6 @@ mod tests {
         assert!((res.final_state()[out] - 1.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn adaptive_takes_fewer_steps_on_smooth_problem() {
-        let (c, _) = rc_circuit();
-        let opts_fixed = TransientOptions::builder(2e-6).dt(1e-9).build();
-        let fixed = TransientAnalysis::new(&c, opts_fixed)
-            .run(&Params::default())
-            .unwrap();
-        let opts_adaptive = TransientOptions::builder(2e-6)
-            .dt(1e-9)
-            .adaptive(1e-11, 1e-7)
-            .build();
-        let adaptive = TransientAnalysis::new(&c, opts_adaptive)
-            .run(&Params::default())
-            .unwrap();
-        assert!(adaptive.stats().steps < fixed.stats().steps / 2);
-    }
-
     /// RC driven by the data pulse: sensitivity of the final state w.r.t.
     /// τs/τh must match a finite-difference estimate.
     #[test]
@@ -1342,11 +1110,7 @@ mod tests {
         c.add(Capacitor::new("C1", vout, Circuit::GROUND, 1e-10));
         let out = c.unknown_of(vout).unwrap();
 
-        for method in [
-            Integrator::BackwardEuler,
-            Integrator::Trapezoidal,
-            Integrator::Gear2,
-        ] {
+        for method in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
             let make_opts = || {
                 TransientOptions::builder(8e-7)
                     .dt(1e-9)
@@ -1403,11 +1167,7 @@ mod tests {
         c.add(Resistor::new("R1", vin, vout, 1e3));
         c.add(Capacitor::new("C1", vout, Circuit::GROUND, 1e-10));
 
-        for method in [
-            Integrator::BackwardEuler,
-            Integrator::Trapezoidal,
-            Integrator::Gear2,
-        ] {
+        for method in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
             let opts = TransientOptions::builder(6e-7)
                 .dt(1e-9)
                 .integrator(method)
@@ -1563,69 +1323,65 @@ mod tests {
     /// Telemetry must be free where it matters: with a collector installed
     /// the warm stepping loop still allocates zero matrices, produces a
     /// bitwise-identical final state, and the collector's per-run flush
-    /// sees the true step counts.
+    /// sees the true step counts — for every integrator.
     #[test]
     fn telemetry_keeps_warm_loop_allocation_free_and_bitwise_identical() {
         let (c, _) = rc_circuit();
-        // Pin the initial condition so the (allocating) DC operating-point
-        // solve stays out of the measured loop, as in the test above.
-        let opts = TransientOptions::builder(2e-6)
-            .dt(2e-9)
-            .integrator(Integrator::Gear2)
-            .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
-            .build();
-        let analysis = TransientAnalysis::new(&c, opts);
-        let params = Params::default();
-        let mut scratch = TransientScratch::new(c.unknown_count());
-        let quiet = analysis.run_with_scratch(&params, &mut scratch).unwrap();
-        let quiet_state = quiet.final_state().clone();
-        let quiet_stats = *quiet.stats();
+        for method in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+            // Pin the initial condition so the (allocating) DC
+            // operating-point solve stays out of the measured loop, as in
+            // the test above.
+            let opts = TransientOptions::builder(2e-6)
+                .dt(2e-9)
+                .integrator(method)
+                .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
+                .build();
+            let analysis = TransientAnalysis::new(&c, opts);
+            let params = Params::default();
+            let mut scratch = TransientScratch::new(c.unknown_count());
+            let quiet = analysis.run_with_scratch(&params, &mut scratch).unwrap();
+            let quiet_state = quiet.final_state().clone();
+            let quiet_stats = *quiet.stats();
 
-        let collector = shc_obs::Collector::new();
-        let _guard = shc_obs::install_scoped(&collector);
-        let before = shc_linalg::matrix_allocations();
-        let observed = analysis.run_with_scratch(&params, &mut scratch).unwrap();
-        let allocated = shc_linalg::matrix_allocations() - before;
+            let collector = shc_obs::Collector::new();
+            let _guard = shc_obs::install_scoped(&collector);
+            let before = shc_linalg::matrix_allocations();
+            let observed = analysis.run_with_scratch(&params, &mut scratch).unwrap();
+            let allocated = shc_linalg::matrix_allocations() - before;
 
-        assert_eq!(allocated, 0, "telemetry allocated {allocated} matrices");
-        assert_eq!(observed.final_state().as_slice(), quiet_state.as_slice());
-        assert_eq!(*observed.stats(), quiet_stats);
-        let snap = collector.snapshot();
-        assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
-        assert_eq!(
-            snap.counter(shc_obs::Metric::TransientSteps),
-            quiet_stats.steps as u64
-        );
-        assert_eq!(
-            snap.counter(shc_obs::Metric::NewtonIterations),
-            quiet_stats.newton_iterations as u64
-        );
-        assert_eq!(snap.counter(shc_obs::Metric::MatrixAllocations), 0);
+            assert_eq!(
+                allocated, 0,
+                "{method:?}: telemetry allocated {allocated} matrices"
+            );
+            assert_eq!(observed.final_state().as_slice(), quiet_state.as_slice());
+            assert_eq!(*observed.stats(), quiet_stats);
+            let snap = collector.snapshot();
+            assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
+            assert_eq!(
+                snap.counter(shc_obs::Metric::TransientSteps),
+                quiet_stats.steps as u64
+            );
+            assert_eq!(
+                snap.counter(shc_obs::Metric::NewtonIterations),
+                quiet_stats.newton_iterations as u64
+            );
+            assert_eq!(snap.counter(shc_obs::Metric::MatrixAllocations), 0);
+        }
     }
 
-    /// A PWL discontinuity the LTE tolerance cannot absorb even at the
-    /// step floor: the adaptive stepper must abort with a typed
-    /// diagnostic carrying the rejection count, and the telemetry flushed
-    /// on the failure path must reconcile with the work actually done.
+    /// A Newton budget that can never converge: every step diverges, is
+    /// cut to a quarter down to the `dt_min` floor, and the run aborts
+    /// there. The cuts are counted as rejected steps, and the telemetry
+    /// flushed on the failure path must reconcile with them.
     #[test]
-    fn lte_stall_at_dt_floor_aborts_with_populated_diagnostics() {
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let vout = c.node("out");
-        c.add(VoltageSource::new(
-            "V1",
-            vin,
-            Circuit::GROUND,
-            Waveform::Pwl(vec![(0.0, 0.0), (1.0e-6, 0.0), (1.0e-6 + 1e-12, 5.0)]),
-        ));
-        c.add(Resistor::new("R1", vin, vout, 1e3));
-        c.add(Capacitor::new("C1", vout, Circuit::GROUND, 1e-9));
-        let mut opts = TransientOptions::builder(2e-6)
-            .dt(2e-9)
-            .adaptive(1e-9, 1e-8)
+    fn newton_step_cuts_are_counted_and_flushed_on_abort() {
+        let (c, _) = rc_circuit();
+        let mut opts = TransientOptions::builder(1e-9)
+            .dt(1e-10)
+            .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
             .build();
-        opts.lte_reltol = 1e-9;
-        opts.lte_abstol = 1e-9;
+        opts.newton.max_iters = 0;
+        opts.dt_min = 1e-12;
 
         let collector = shc_obs::Collector::new();
         let err = {
@@ -1634,54 +1390,42 @@ mod tests {
                 .run(&Params::default())
                 .unwrap_err()
         };
-        match err {
-            SpiceError::TimestepTooSmall {
-                time,
-                dt,
-                rejected_steps,
-            } => {
-                assert!(rejected_steps >= 1, "rejections {rejected_steps}");
-                assert!(dt <= 1e-9 * (1.0 + 1e-9), "dt {dt}");
-                assert!(time > 0.5e-6, "stalled at t = {time}");
-                let snap = collector.snapshot();
-                assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
-                assert_eq!(
-                    snap.counter(shc_obs::Metric::LteRejections),
-                    rejected_steps as u64,
-                    "every rejection must be flushed despite the abort"
-                );
-                assert!(snap.counter(shc_obs::Metric::TransientSteps) > 0);
-            }
-            other => panic!("expected TimestepTooSmall, got {other}"),
-        }
+        assert!(matches!(err, SpiceError::NewtonDiverged { .. }), "{err}");
+        // 100 ps → 25 ps → 6.25 ps → 1.5625 ps are cut; the next step is
+        // clamped to the 1 ps floor, where the run gives up.
+        let snap = collector.snapshot();
+        assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
+        assert_eq!(snap.counter(shc_obs::Metric::LteRejections), 4);
+        assert_eq!(snap.counter(shc_obs::Metric::TransientSteps), 0);
     }
 
     /// `run` and `run_with_scratch` must be observably identical.
     #[test]
     fn scratch_reuse_is_bitwise_identical_to_fresh_runs() {
         let (c, out) = rc_circuit();
-        let make_opts = || {
-            TransientOptions::builder(2e-6)
-                .dt(2e-9)
-                .adaptive(1e-10, 5e-8)
-                .integrator(Integrator::Gear2)
-                .build()
-        };
-        let fresh = TransientAnalysis::new(&c, make_opts())
-            .run(&Params::default())
-            .unwrap();
-        let mut scratch = TransientScratch::new(c.unknown_count());
-        let analysis = TransientAnalysis::new(&c, make_opts());
-        for _ in 0..2 {
-            let reused = analysis
-                .run_with_scratch(&Params::default(), &mut scratch)
+        for method in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+            let make_opts = || {
+                TransientOptions::builder(2e-6)
+                    .dt(2e-9)
+                    .integrator(method)
+                    .build()
+            };
+            let fresh = TransientAnalysis::new(&c, make_opts())
+                .run(&Params::default())
                 .unwrap();
-            assert_eq!(reused.times(), fresh.times());
-            assert_eq!(
-                reused.final_state().as_slice(),
-                fresh.final_state().as_slice()
-            );
-            assert_eq!(reused.series(out), fresh.series(out));
+            let mut scratch = TransientScratch::new(c.unknown_count());
+            let analysis = TransientAnalysis::new(&c, make_opts());
+            for _ in 0..2 {
+                let reused = analysis
+                    .run_with_scratch(&Params::default(), &mut scratch)
+                    .unwrap();
+                assert_eq!(reused.times(), fresh.times());
+                assert_eq!(
+                    reused.final_state().as_slice(),
+                    fresh.final_state().as_slice()
+                );
+                assert_eq!(reused.series(out), fresh.series(out));
+            }
         }
     }
 

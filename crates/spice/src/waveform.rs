@@ -294,11 +294,6 @@ impl Pulse {
             self.v0
         }
     }
-
-    /// Time of the 50% crossing of the `k`-th rising edge (k = 0, 1, …).
-    pub fn rising_edge_midpoint(&self, k: usize) -> f64 {
-        self.delay + self.rise / 2.0 + k as f64 * self.period.max(0.0)
-    }
 }
 
 /// A source waveform.
@@ -341,11 +336,6 @@ impl Waveform {
             Waveform::Data(d) => d.derivative(t, params, param),
             _ => 0.0,
         }
-    }
-
-    /// Whether this waveform depends on the skew parameters.
-    pub fn depends_on_params(&self) -> bool {
-        matches!(self, Waveform::Data(_))
     }
 
     /// A time `t*` such that `self.value(t, pa)` / `.derivative(t, pa, ·)`
@@ -426,8 +416,6 @@ fn pwl_value(points: &[(f64, f64)], t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const DT: f64 = 1e-15;
 
     fn fd_derivative(d: &DataPulse, t: f64, p: &Params, param: Param) -> f64 {
         let h = 1e-15;
@@ -567,7 +555,6 @@ mod tests {
         assert_eq!(clk.value(3e-9), 2.5);
         // Second period: active edge at 11ns.
         assert!((clk.value(11.05e-9) - 1.25).abs() < 1e-9);
-        assert!((clk.rising_edge_midpoint(1) - 11.05e-9).abs() < DT);
     }
 
     #[test]
@@ -607,9 +594,16 @@ mod tests {
     }
 
     #[test]
-    fn only_data_waveform_depends_on_params() {
-        assert!(!Waveform::dc(1.0).depends_on_params());
-        assert!(Waveform::Data(sample_pulse()).depends_on_params());
+    fn only_data_waveform_has_skew_derivatives() {
+        // On the setup edge's ramp (t_edge − τs), the data pulse moves with
+        // τs; a DC source never does.
+        let p = Params::new(1e-9, 1e-9);
+        let t = 10e-9;
+        assert_eq!(Waveform::dc(1.0).derivative(t, &p, Param::Setup), 0.0);
+        assert_ne!(
+            Waveform::Data(sample_pulse()).derivative(t, &p, Param::Setup),
+            0.0
+        );
     }
 
     #[test]

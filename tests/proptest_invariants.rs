@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use shc::linalg::{pinv, pinv_fat, CsrMatrix, Matrix, Vector};
+use shc::linalg::{CsrMatrix, Matrix, Vector};
 use shc::spice::waveform::{DataPulse, Param, Params, Pulse, RampShape};
 use shc::spice::{MosParams, Mosfet};
 
@@ -53,48 +53,6 @@ proptest! {
         let x1 = a.lu().unwrap().solve_transposed(&b).unwrap();
         let x2 = a.transpose().lu().unwrap().solve(&b).unwrap();
         prop_assert!(x1.sub(&x2).norm_inf() < 1e-9);
-    }
-
-    /// Moore-Penrose pseudo-inverse of a random full-row-rank fat matrix
-    /// satisfies H·H⁺ = I (right inverse) and the MPNR step property:
-    /// the update lands exactly on the solution set for affine h.
-    #[test]
-    fn pinv_fat_is_right_inverse(
-        a in finite_f64(-3.0..3.0),
-        b in finite_f64(-3.0..3.0),
-        c in finite_f64(0.1..3.0),
-    ) {
-        // Row [a, b+c] with c > 0 ensures it is nonzero when a ~ -b.
-        let h = Matrix::from_rows(&[&[a, b + c]]).unwrap();
-        if h.norm_frobenius() < 1e-3 {
-            return Ok(());
-        }
-        let hp = pinv_fat(&h).unwrap();
-        let prod = h.mul(&hp).unwrap();
-        prop_assert!((prod[(0, 0)] - 1.0).abs() < 1e-9);
-    }
-
-    /// General pinv satisfies all four Penrose conditions on random tall
-    /// full-column-rank matrices.
-    #[test]
-    fn pinv_tall_penrose_conditions(
-        entries in prop::collection::vec(finite_f64(-2.0..2.0), 6),
-    ) {
-        let mut a = Matrix::zeros(3, 2);
-        for i in 0..3 {
-            for j in 0..2 {
-                a[(i, j)] = entries[i * 2 + j];
-            }
-        }
-        a[(0, 0)] += 3.0;
-        a[(1, 1)] += 3.0;
-        let p = pinv(&a).unwrap().matrix;
-        let a_p = a.mul(&p).unwrap();
-        let p_a = p.mul(&a).unwrap();
-        prop_assert!(a_p.mul(&a).unwrap().sub(&a).unwrap().norm_inf() < 1e-8);
-        prop_assert!(p_a.mul(&p).unwrap().sub(&p).unwrap().norm_inf() < 1e-8);
-        prop_assert!(a_p.transpose().sub(&a_p).unwrap().norm_inf() < 1e-8);
-        prop_assert!(p_a.transpose().sub(&p_a).unwrap().norm_inf() < 1e-8);
     }
 
     /// The data waveform never leaves the band spanned by its rest and
@@ -148,28 +106,6 @@ proptest! {
                 "{param:?} at t={t:.3e}: analytic {analytic:.4e} vs fd {fd:.4e}"
             );
         }
-    }
-
-    /// QR least squares: the residual of the solution is orthogonal to the
-    /// column space (the normal equations hold) for random tall systems.
-    #[test]
-    fn qr_residual_orthogonal_to_columns(
-        entries in prop::collection::vec(finite_f64(-2.0..2.0), 8),
-        rhs in prop::collection::vec(finite_f64(-3.0..3.0), 4),
-    ) {
-        let mut a = Matrix::zeros(4, 2);
-        for i in 0..4 {
-            for j in 0..2 {
-                a[(i, j)] = entries[i * 2 + j];
-            }
-        }
-        a[(0, 0)] += 3.0;
-        a[(1, 1)] += 3.0;
-        let b = Vector::from_slice(&rhs);
-        let x = a.qr().unwrap().solve_least_squares(&b).unwrap();
-        let r = a.mul_vec(&x).sub(&b);
-        let atr = a.mul_vec_transposed(&r);
-        prop_assert!(atr.norm_inf() < 1e-9, "normal equations violated: {atr}");
     }
 
     /// Sparse SpMV agrees with the dense product for random sparse patterns.
