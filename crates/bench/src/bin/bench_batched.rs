@@ -6,11 +6,15 @@
 //!    around an 8-point contour) generated through the lockstep batched
 //!    engine, serially and with its lane groups fanned over two threads,
 //!    must be *bitwise* identical to the scalar sweep — every grid value
-//!    compared by `to_bits`.
+//!    compared by `to_bits` — and the scalar sweep, whose evaluations
+//!    resume from the problem's prefix ladder, must be bitwise identical
+//!    to a *full-run* sweep: every cell its own transient from the DC
+//!    point.
 //! 2. **Speedup**: the batched sweep must be at least `--min-speedup`
 //!    (default [`MIN_BATCHED_SPEEDUP`]) times faster than the scalar one
 //!    on a single core — the SoA/lockstep payoff on 1-CPU hosts where
-//!    threading cannot help.
+//!    threading cannot help. The full-run sweep's time is reported
+//!    (`batched_vs_full_run`) but not gated.
 //!
 //! Writes `BENCH_batched.json` with the measured wall times and the
 //! per-simulation costs.
@@ -33,9 +37,13 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use shc_bench::{Cell, Timing};
-use shc_core::{surface, BatchPolicy, OutputSurface, Parallelism, SurfaceOptions};
+use shc_core::{
+    surface, BatchPolicy, CharacterizationProblem, OutputSurface, Parallelism, SurfaceOptions,
+};
 use shc_obs::json;
 use shc_spice::batch::DEFAULT_LANES;
+use shc_spice::transient::{RecordMode, TransientAnalysis, TransientOptions, TransientScratch};
+use shc_spice::waveform::Params;
 
 /// Required batched speedup on the one-core surface sweep (ISSUE 9 /
 /// ROADMAP item 2 target), overridable with `--min-speedup` so CI can
@@ -92,7 +100,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut ok = true;
     let mut out = String::from("{");
     let mut first = true;
-    json::push_str_field(&mut out, &mut first, "schema", "shc-bench-batched-v1");
+    json::push_str_field(&mut out, &mut first, "schema", "shc-bench-batched-v2");
     json::push_str_field(&mut out, &mut first, "cell", "tspc");
     json::push_str_field(&mut out, &mut first, "clock", "fast");
 
@@ -112,6 +120,18 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         &grid.with_parallelism(Parallelism::Threads(2)),
     )?;
     let sims = scalar_surface.simulations();
+    let full = full_run_values(&scalar_problem, &scalar_surface)?;
+    let full_mismatches = scalar_surface
+        .values()
+        .iter()
+        .flatten()
+        .zip(&full)
+        .filter(|(x, y)| x.to_bits() != y.to_bits())
+        .count();
+    if full_mismatches > 0 {
+        ok = false;
+        eprintln!("surface: {full_mismatches}/{sims} scalar grid values differ from full runs");
+    }
     let mismatches = mismatched_values(&scalar_surface, &batched_surface);
     let threaded_mismatches = mismatched_values(&scalar_surface, &threaded_surface);
     if mismatches > 0 {
@@ -137,6 +157,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 
     // Gate 2: one-core wall-time speedup.
+    let t_full = min_time(|| full_run_values(&scalar_problem, &scalar_surface).map(|_| ()))?;
     let t_scalar = min_time(|| Ok(surface::generate(&scalar_problem, &grid).map(|_| ())?))?;
     let t_batched = min_time(|| Ok(surface::generate(&batched_problem, &grid).map(|_| ())?))?;
     let speedup = t_scalar / t_batched;
@@ -144,6 +165,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     json::push_u64_field(&mut out, &mut first, "surface_n", GRID_N as u64);
     json::push_u64_field(&mut out, &mut first, "grid_simulations", sims as u64);
     json::push_u64_field(&mut out, &mut first, "lanes", DEFAULT_LANES as u64);
+    json::push_f64_field(&mut out, &mut first, "surface_full_run_seconds", t_full);
     json::push_f64_field(&mut out, &mut first, "surface_scalar_seconds", t_scalar);
     json::push_f64_field(&mut out, &mut first, "surface_batched_seconds", t_batched);
     json::push_f64_field(
@@ -159,6 +181,18 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         t_batched / sims as f64,
     );
     json::push_f64_field(&mut out, &mut first, "batched_speedup", speedup);
+    json::push_f64_field(
+        &mut out,
+        &mut first,
+        "batched_vs_full_run",
+        t_full / t_batched,
+    );
+    json::push_u64_field(
+        &mut out,
+        &mut first,
+        "full_run_mismatches",
+        full_mismatches as u64,
+    );
     json::push_u64_field(&mut out, &mut first, "value_mismatches", mismatches as u64);
     json::push_u64_field(
         &mut out,
@@ -169,9 +203,11 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     json::push_f64_field(&mut out, &mut first, "min_speedup", min_speedup);
     println!(
         "surface (n = {GRID_N}, {sims} sims, {DEFAULT_LANES} lanes): \
-         scalar {t_scalar:.3} s, batched {t_batched:.3} s — {speedup:.1}x, \
-         bitwise identical (serial, 2 threads): {}",
-        mismatches == 0 && threaded_mismatches == 0
+         scalar {t_scalar:.3} s, batched {t_batched:.3} s — {speedup:.1}x; \
+         full runs {t_full:.3} s ({:.1}x); \
+         bitwise identical (full runs, serial, 2 threads): {}",
+        t_full / t_batched,
+        full_mismatches == 0 && mismatches == 0 && threaded_mismatches == 0
     );
     if speedup < min_speedup {
         ok = false;
@@ -186,6 +222,34 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The output of every cell of `grid`'s skew grid, row-major, each from
+/// its own full transient of `problem` (no prefix reuse): the values the
+/// scalar sweep must reproduce bit for bit.
+fn full_run_values(
+    problem: &CharacterizationProblem,
+    grid: &OutputSurface,
+) -> Result<Vec<f64>, Box<dyn std::error::Error>> {
+    let circuit = problem.register().circuit();
+    let opts = TransientOptions::builder(problem.t_f())
+        .dt(problem.dt())
+        .integrator(problem.integrator())
+        .solver(problem.solver())
+        .record(RecordMode::FinalOnly)
+        .build();
+    let analysis = TransientAnalysis::new(circuit, opts);
+    let mut scratch = TransientScratch::new(circuit.unknown_count());
+    let (out, r) = (problem.register().output_unknown(), problem.r());
+    let mut values = Vec::with_capacity(grid.simulations());
+    for &s in grid.tau_s_grid() {
+        for &h in grid.tau_h_grid() {
+            let res = analysis.run_with_scratch(&Params::new(s, h), &mut scratch)?;
+            // Round-trip through `h = x − r` exactly as the surface does.
+            values.push((res.final_state()[out] - r) + r);
+        }
+    }
+    Ok(values)
 }
 
 /// Grid values of `b` whose bit patterns differ from `a`'s.

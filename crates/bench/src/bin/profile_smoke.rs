@@ -38,11 +38,14 @@ const SMOKE_POINTS: usize = 16;
 /// Surface grid edge: 20x20 = 400 transient simulations.
 const SURFACE_N: usize = 20;
 /// ABBA rounds for the overhead measurement; each letter times a block
-/// of [`OVERHEAD_BLOCK`] back-to-back traces.
+/// of back-to-back traces lasting about [`OVERHEAD_BLOCK_SECONDS`].
 const OVERHEAD_ROUNDS: usize = 4;
-/// Traces accumulated per timed block: single traces are too short for
-/// stable floors on a shared runner, ~1 s blocks are not.
-const OVERHEAD_BLOCK: usize = 4;
+/// Target wall time of one timed block: single traces are too short for
+/// stable floors on a shared runner, ~1 s blocks are not. The trace count
+/// per block is picked at run time from the fastest of three timed traces.
+const OVERHEAD_BLOCK_SECONDS: f64 = 1.0;
+/// Bounds on the traces per block, whatever one trace measured.
+const OVERHEAD_BLOCK_TRACES: std::ops::RangeInclusive<usize> = 4..=64;
 /// Maximum tolerated Step-detail profiling overhead, percent of wall clock.
 const OVERHEAD_LIMIT_PCT: f64 = 2.0;
 
@@ -138,20 +141,32 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     // --- 2. Overhead: block-accumulated ABBA comparison at Step detail
     // (the default --profile level). Shared runners jitter by several
     // percent run to run — more than the ~1.5% signal — so two defenses:
-    // each timed sample accumulates [`OVERHEAD_BLOCK`] back-to-back
-    // traces (~1 s, long enough that the fastest block converges on the
-    // true floor), and each round times off/on/on/off so slow drift
-    // cancels across the palindrome. The two off positions measure the
-    // same thing, so the spread between their floors is pure measurement
-    // noise; the on arm must stay within the budget *plus that measured
-    // noise*. On a quiet machine the noise term vanishes and the 2%
+    // each timed sample accumulates back-to-back traces for about
+    // [`OVERHEAD_BLOCK_SECONDS`] (long enough that the fastest block
+    // converges on the true floor), and each round times off/on/on/off so
+    // slow drift cancels across the palindrome. The two off positions
+    // measure the same thing, so the spread between their floors is pure
+    // measurement noise; the on arm must stay within the budget *plus that
+    // measured noise*. On a quiet machine the noise term vanishes and the 2%
     // budget binds exactly; on a loaded one the gate degrades gracefully
     // instead of flaking. One unmeasured warmup block settles caches.
     let mut floors = [f64::INFINITY; 3]; // [off-lead, on, off-trail]
     if !skip_overhead {
+        let mut one = f64::INFINITY;
+        for _ in 0..3 {
+            let (r, s) = seconds(|| problem.trace_contour(SMOKE_POINTS));
+            r?;
+            one = one.min(s);
+        }
+        let block = ((OVERHEAD_BLOCK_SECONDS / one).ceil() as usize)
+            .clamp(*OVERHEAD_BLOCK_TRACES.start(), *OVERHEAD_BLOCK_TRACES.end());
+        println!(
+            "overhead: {block} traces per block ({:.0} ms per trace)",
+            1e3 * one
+        );
         let time_block = |profiled: bool| -> Result<f64, shc_core::CharError> {
             let (r, s) = seconds(|| -> Result<(), shc_core::CharError> {
-                for _ in 0..OVERHEAD_BLOCK {
+                for _ in 0..block {
                     if profiled {
                         let step = Profiler::with_detail(Detail::Step);
                         let _profile = shc_prof::install_scoped(&step);

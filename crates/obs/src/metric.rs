@@ -60,11 +60,20 @@ pub enum Metric {
     /// Fill-in produced by symbolic analysis (histogram: nnz(L+U) −
     /// nnz(A) per analysis).
     SparseFillNnz,
+    /// Transient runs resumed from a rung of a per-problem prefix ladder
+    /// instead of starting from the DC point.
+    PrefixResumes,
+    /// Accepted steps resumed runs took from their rung instead of
+    /// executing them (histogram: steps skipped per resume).
+    PrefixStepsSkipped,
+    /// Transient runs that recorded a prefix ladder (each is also one of
+    /// the [`Metric::TransientRuns`]).
+    PrefixRecordings,
 }
 
 impl Metric {
     /// Number of metric variants; sizes the collector's atomic arrays.
-    pub const COUNT: usize = 24;
+    pub const COUNT: usize = 27;
 
     /// All variants, in `repr` order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -92,6 +101,9 @@ impl Metric {
         Metric::SparseRefactors,
         Metric::SparseSolves,
         Metric::SparseFillNnz,
+        Metric::PrefixResumes,
+        Metric::PrefixStepsSkipped,
+        Metric::PrefixRecordings,
     ];
 
     /// Stable snake_case name used in reports and JSON output.
@@ -122,6 +134,9 @@ impl Metric {
             Metric::SparseRefactors => "sparse_refactors",
             Metric::SparseSolves => "sparse_solves",
             Metric::SparseFillNnz => "sparse_fill_nnz",
+            Metric::PrefixResumes => "prefix_resumes",
+            Metric::PrefixStepsSkipped => "prefix_steps_skipped",
+            Metric::PrefixRecordings => "prefix_recordings",
         }
     }
 }

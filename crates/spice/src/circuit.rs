@@ -398,6 +398,28 @@ impl Circuit {
         j.axpy(1.0, g)?;
         Ok(j)
     }
+
+    /// A time `t*` such that this circuit evaluates *bitwise-identical*
+    /// stamps and skew derivatives under `pa` and `pb` for every `t < t*`
+    /// — the scalar twin of [`crate::batch::SoaCircuit::agreement_horizon`].
+    ///
+    /// Skews enter only through voltage-source waveforms, so the bound is
+    /// the earliest [`crate::Waveform::agree_until`] over the sources. A
+    /// device without a batch lowering ([`Device::batch_spec`]) might read
+    /// the skews some other way, so any such device yields `0.0`.
+    pub fn agreement_horizon(&self, pa: &Params, pb: &Params) -> f64 {
+        let mut horizon = f64::INFINITY;
+        for device in &self.devices {
+            match device.batch_spec() {
+                None => return 0.0,
+                Some(crate::batch::DeviceSpec::VoltageSource { waveform, .. }) => {
+                    horizon = horizon.min(waveform.agree_until(pa, &waveform, pb));
+                }
+                Some(_) => {}
+            }
+        }
+        horizon
+    }
 }
 
 #[cfg(test)]
@@ -494,6 +516,41 @@ mod tests {
         // Second assembly must not accumulate.
         c.assemble_into(&mut ws, &x, 0.0, &Params::default(), 1.0);
         assert!((ws.f[0] - 1e-3).abs() < 1e-15);
+    }
+
+    #[test]
+    fn agreement_horizon_follows_sources_and_refuses_unlowered_devices() {
+        use crate::devices::CurrentSource;
+        use crate::waveform::{DataPulse, RampShape};
+        let pulse = DataPulse {
+            v_rest: 0.0,
+            v_active: 1.0,
+            t_edge: 2e-9,
+            rise: 1e-10,
+            fall: 1e-10,
+            shape: RampShape::Smoothstep,
+        };
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add(VoltageSource::new(
+            "Vd",
+            a,
+            Circuit::GROUND,
+            Waveform::Data(pulse),
+        ));
+        c.add(Resistor::new("R1", a, Circuit::GROUND, 1e3));
+        let (pa, pb) = (Params::new(-1.0, 1.0), Params::new(3e-10, 2e-10));
+        assert_eq!(c.agreement_horizon(&pa, &pb), pulse.agree_until(&pa, &pb));
+        assert_eq!(c.agreement_horizon(&pb, &pb), f64::INFINITY);
+
+        // A current source has no batch lowering: nothing is provable.
+        c.add(CurrentSource::new(
+            "I1",
+            a,
+            Circuit::GROUND,
+            Waveform::dc(0.0),
+        ));
+        assert_eq!(c.agreement_horizon(&pb, &pb), 0.0);
     }
 
     #[test]

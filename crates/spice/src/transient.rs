@@ -460,17 +460,233 @@ pub enum CrossingDirection {
     Any,
 }
 
+/// Accepted steps between two rungs of a [`PrefixLadder`]. A resumed run
+/// replays at most this many steps before its own horizon; the ladder
+/// stores one state per stride.
+pub const RUNG_STRIDE: usize = 16;
+
+/// Snapshots of one recorded run's stepping state, from which later runs
+/// of the same analysis at other skews resume.
+///
+/// Before the agreement horizon of two skew settings
+/// ([`Circuit::agreement_horizon`]) the circuit evaluates bitwise-equal
+/// stamps and skew derivatives under both, so a fixed-step Backward-Euler
+/// run with dense solves takes bitwise-equal steps there: same states,
+/// sensitivities, step sizes and counters. A *rung* holds that state after
+/// every [`RUNG_STRIDE`]-th accepted step. Recorded and used through a
+/// [`PrefixCache`]; read-only after recording.
+#[derive(Debug)]
+pub struct PrefixLadder {
+    /// Options of the recorded run; resumed runs must match them.
+    opts: TransientOptions,
+    /// MNA dimension of the recorded circuit.
+    n: usize,
+    /// Accepted times of the recorded run, `t = 0` first.
+    times: Vec<f64>,
+    /// The rungs' scalars, in step order.
+    rungs: Vec<Rung>,
+    /// Per rung, flat: the state, then one vector per sensitivity in
+    /// `opts.sensitivities` order, each `n` long.
+    vectors: Vec<f64>,
+}
+
+/// The scalar part of one rung of a [`PrefixLadder`].
+#[derive(Debug, Clone, Copy)]
+struct Rung {
+    /// The latest time a waveform was evaluated at on the way to the
+    /// rung. Equals the rung's time unless a Newton step cut overshot.
+    reach: f64,
+    /// The step size the next attempt takes.
+    dt: f64,
+    /// The run's counters so far (`steps` indexes the ladder's times).
+    stats: TransientStats,
+}
+
+impl PrefixLadder {
+    /// An empty ladder with room for the rungs of a run without step cuts.
+    fn sized(opts: TransientOptions, n: usize) -> Self {
+        let steps = (opts.tstop / opts.dt).ceil() as usize;
+        let rungs = steps / RUNG_STRIDE + 1;
+        let width = (1 + opts.sensitivities.len()) * n;
+        PrefixLadder {
+            opts,
+            n,
+            times: Vec::new(),
+            rungs: Vec::with_capacity(rungs),
+            vectors: Vec::with_capacity(rungs * width),
+        }
+    }
+
+    /// Number of rungs.
+    pub fn rungs(&self) -> usize {
+        self.rungs.len()
+    }
+
+    /// Accepted steps the recorded run had taken at rung `k`, or `None`
+    /// past the last rung.
+    pub fn rung_steps(&self, k: usize) -> Option<usize> {
+        self.rungs.get(k).map(|r| r.stats.steps)
+    }
+
+    /// Simulation time of rung `k`, or `None` past the last rung.
+    pub fn rung_time(&self, k: usize) -> Option<f64> {
+        self.rung_steps(k).and_then(|s| self.times.get(s).copied())
+    }
+
+    /// Appends the rung for the current stepping state. Allocation-free
+    /// while the run stays within the capacity [`PrefixLadder::sized`]
+    /// reserved.
+    fn push_rung(&mut self, rung: Rung, x: &Vector, sens: &[(Param, Vector)]) {
+        self.rungs.push(rung);
+        self.vectors.extend_from_slice(x.as_slice());
+        for (_, m) in sens {
+            self.vectors.extend_from_slice(m.as_slice());
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.times.shrink_to_fit();
+        self.rungs.shrink_to_fit();
+        self.vectors.shrink_to_fit();
+    }
+
+    /// The rung `analysis` (inside the resume envelope) may resume from at
+    /// `params`, if any: the last one whose reach lies strictly before the
+    /// agreement horizon of [`REST_SKEWS`] and `params`.
+    fn rung_for(&self, analysis: &TransientAnalysis<'_>, params: &Params) -> Option<usize> {
+        let (o, l) = (&analysis.opts, &self.opts);
+        let same_grid = o.tstop.to_bits() == l.tstop.to_bits()
+            && o.dt.to_bits() == l.dt.to_bits()
+            && o.dt_min.to_bits() == l.dt_min.to_bits()
+            && o.newton == l.newton
+            && o.dc == l.dc;
+        if !same_grid
+            || analysis.circuit.unknown_count() != self.n
+            || !o.sensitivities.iter().all(|p| l.sensitivities.contains(p))
+        {
+            return None;
+        }
+        let horizon = analysis.circuit.agreement_horizon(&REST_SKEWS, params);
+        self.rungs
+            .partition_point(|r| r.reach < horizon)
+            .checked_sub(1)
+    }
+
+    /// Initial state of a run resumed from rung `k`: state, time, step,
+    /// prefix times and the requested sensitivities.
+    fn resume_state(
+        &self,
+        k: usize,
+        sensitivities: &[Param],
+    ) -> (Vector, f64, f64, Vec<f64>, Vec<(Param, Vector)>) {
+        let n = self.n;
+        let rung = &self.vectors[k * (1 + self.opts.sensitivities.len()) * n..];
+        let sens = sensitivities
+            .iter()
+            .map(|&p| {
+                // `rung_for` checked that the ladder carries every
+                // requested parameter.
+                let j = self.opts.sensitivities.iter().position(|&q| q == p);
+                let off = (1 + j.unwrap_or(0)) * n;
+                (p, Vector::from_slice(&rung[off..off + n]))
+            })
+            .collect();
+        let Rung { dt, stats, .. } = self.rungs[k];
+        let steps = stats.steps;
+        let mut times = Vec::with_capacity(self.times.len());
+        times.extend_from_slice(&self.times[..=steps]);
+        (
+            Vector::from_slice(&rung[..n]),
+            self.times[steps],
+            dt,
+            times,
+            sens,
+        )
+    }
+}
+
+/// A lazily recorded [`PrefixLadder`] for one circuit, shared by every
+/// analysis bound to it with [`TransientAnalysis::with_prefix`].
+///
+/// The first run inside the resume envelope (see
+/// [`TransientAnalysis::run_with_scratch`]) records the ladder with one extra full run at the cache's *rest* skews;
+/// racing threads wait for that one recording. After it the cache is
+/// read-only, so runs share it without a lock. A failed recording is kept
+/// as "no ladder" and every later run simply runs in full.
+///
+/// The recording runs at [`REST_SKEWS`], so a run's reuse depends on its
+/// own skews alone: the agreement horizon with the rest skews is where
+/// the run's own waveforms first move.
+#[derive(Debug, Default)]
+pub struct PrefixCache {
+    ladder: std::sync::OnceLock<Option<PrefixLadder>>,
+}
+
+/// The skews every [`PrefixCache`] records its ladder at. They put both
+/// edges of the data pulse one second after the clock edge, so within a
+/// transient of nanoseconds to microseconds the pulse never leaves its
+/// rest level.
+pub const REST_SKEWS: Params = Params {
+    tau_s: -1.0,
+    tau_h: 1.0,
+};
+
+impl PrefixCache {
+    /// An empty cache; the first eligible run records its ladder.
+    pub fn new() -> Self {
+        PrefixCache::default()
+    }
+
+    /// Whether the recording run has happened (successfully or not).
+    pub fn recorded(&self) -> bool {
+        self.ladder.get().is_some()
+    }
+
+    /// The recorded ladder, once a successful recording exists.
+    pub fn ladder(&self) -> Option<&PrefixLadder> {
+        self.ladder.get().and_then(Option::as_ref)
+    }
+}
+
+/// How [`TransientAnalysis::run_core`] uses a [`PrefixLadder`].
+enum Ladder<'l> {
+    /// Full run from the initial condition.
+    None,
+    /// Full run that writes a rung every [`RUNG_STRIDE`] accepted steps.
+    Record(&'l mut PrefixLadder),
+    /// Run resumed from rung `rung`.
+    Resume {
+        ladder: &'l PrefixLadder,
+        rung: usize,
+    },
+}
+
 /// A configured transient analysis, ready to run for any skew values.
 #[derive(Debug)]
 pub struct TransientAnalysis<'a> {
     circuit: &'a Circuit,
     opts: TransientOptions,
+    prefix: Option<&'a PrefixCache>,
 }
 
 impl<'a> TransientAnalysis<'a> {
     /// Binds options to a circuit.
     pub fn new(circuit: &'a Circuit, opts: TransientOptions) -> Self {
-        TransientAnalysis { circuit, opts }
+        TransientAnalysis {
+            circuit,
+            opts,
+            prefix: None,
+        }
+    }
+
+    /// Lets runs of this analysis resume from `cache`'s prefix ladder,
+    /// recording it on the first run that may use it (see
+    /// [`PrefixCache`]). Results stay bitwise identical to full runs.
+    ///
+    /// `cache` must only ever be used with analyses over this circuit.
+    pub fn with_prefix(mut self, cache: &'a PrefixCache) -> Self {
+        self.prefix = Some(cache);
+        self
     }
 
     /// The options in effect.
@@ -501,6 +717,18 @@ impl<'a> TransientAnalysis<'a> {
     /// every sensitivity temporary live in `scratch`. The scratch is
     /// resized automatically if the circuit dimension changed.
     ///
+    /// With a [`PrefixCache`] bound ([`TransientAnalysis::with_prefix`]),
+    /// the run resumes from the last rung of the cache's ladder whose
+    /// waveform evaluations all lie strictly before
+    /// [`Circuit::agreement_horizon`] of the rest and the requested skews
+    /// — inside the resume envelope: Backward Euler,
+    /// [`RecordMode::FinalOnly`], a DC start, dense solves, no fault
+    /// injector installed on this thread, `tstop`, `dt`, `dt_min` and the
+    /// Newton and DC settings equal to the ladder's, and a ladder that
+    /// carries every requested sensitivity. Otherwise, and when no rung
+    /// qualifies, it runs in full. Either way the result is bitwise
+    /// identical to the full run, `times` and `stats` included.
+    ///
     /// # Errors
     ///
     /// Propagates DC, Newton, and step-control failures.
@@ -508,6 +736,61 @@ impl<'a> TransientAnalysis<'a> {
         &self,
         params: &Params,
         scratch: &mut TransientScratch,
+    ) -> Result<TransientResult> {
+        let start = self
+            .prefix
+            .filter(|_| self.supports_prefix())
+            .and_then(|cache| {
+                let ladder = cache.ladder.get_or_init(|| self.record(scratch));
+                let ladder = ladder.as_ref()?;
+                let rung = ladder.rung_for(self, params)?;
+                Some(Ladder::Resume { ladder, rung })
+            })
+            .unwrap_or(Ladder::None);
+        self.run_observed(params, scratch, start)
+    }
+
+    /// Whether this analysis may record or resume from a prefix ladder.
+    /// The sparse path is excluded because its refactorizations reuse
+    /// earlier pivots, so a resumed run would not be history-free; under
+    /// fault injection a resumed run would skip its prefix's fault draws.
+    fn supports_prefix(&self) -> bool {
+        let o = &self.opts;
+        o.integrator == Integrator::BackwardEuler
+            && o.record == RecordMode::FinalOnly
+            && matches!(o.initial, InitialCondition::DcOperatingPoint)
+            && !o.solver.wants_sparse(self.circuit.unknown_count())
+            && !shc_fault::enabled()
+    }
+
+    /// Runs the transient at [`REST_SKEWS`] once, with every sensitivity on so the
+    /// ladder serves runs with any sensitivity set, and records its
+    /// stepping state every [`RUNG_STRIDE`] accepted steps. The run is a
+    /// real simulation: it counts as one
+    /// [`shc_obs::Metric::TransientRuns`]. `None` when it fails.
+    fn record(&self, scratch: &mut TransientScratch) -> Option<PrefixLadder> {
+        let n = self.circuit.unknown_count();
+        let opts = TransientOptions {
+            sensitivities: Param::ALL.to_vec(),
+            ..self.opts.clone()
+        };
+        let recorder = TransientAnalysis::new(self.circuit, opts);
+        let mut ladder = PrefixLadder::sized(recorder.opts.clone(), n);
+        let res = recorder
+            .run_observed(&REST_SKEWS, scratch, Ladder::Record(&mut ladder))
+            .ok()?;
+        ladder.times = res.times;
+        ladder.shrink_to_fit();
+        Some(ladder)
+    }
+
+    /// One observed run: the span, profiler frame and counter flush around
+    /// [`TransientAnalysis::run_core`].
+    fn run_observed(
+        &self,
+        params: &Params,
+        scratch: &mut TransientScratch,
+        ladder: Ladder<'_>,
     ) -> Result<TransientResult> {
         // One span + one counter flush per *run* (not per step): the
         // stepping loop itself stays untouched by telemetry. The flush
@@ -518,19 +801,37 @@ impl<'a> TransientAnalysis<'a> {
         let _span = shc_obs::span(shc_obs::SpanKind::Transient);
         let _frame = shc_prof::enter(shc_prof::Phase::Transient);
         shc_obs::count(shc_obs::Metric::TransientRuns, 1);
-        let mut stats = TransientStats::default();
+        // A resumed run starts from the rung's counters; the telemetry
+        // below counts only the work this run executes.
+        let recording = matches!(ladder, Ladder::Record(_));
+        let skipped = match &ladder {
+            Ladder::Resume { ladder, rung } => ladder.rungs[*rung].stats,
+            _ => TransientStats::default(),
+        };
+        let mut stats = skipped;
         let result = match self.injected_run_fault() {
             Some(e) => Err(e),
-            None => self.run_core(params, scratch, &mut stats),
+            None => self.run_core(params, scratch, &mut stats, ladder),
         };
-        shc_prof::add_work(stats.steps as u64);
+        let steps = stats.steps - skipped.steps;
+        shc_prof::add_work(steps as u64);
         if shc_obs::enabled() {
-            shc_obs::observe(shc_obs::Metric::TransientSteps, stats.steps as u64);
+            shc_obs::observe(shc_obs::Metric::TransientSteps, steps as u64);
             shc_obs::observe(
                 shc_obs::Metric::NewtonIterations,
-                stats.newton_iterations as u64,
+                (stats.newton_iterations - skipped.newton_iterations) as u64,
             );
-            shc_obs::observe(shc_obs::Metric::LteRejections, stats.rejected_steps as u64);
+            shc_obs::observe(
+                shc_obs::Metric::LteRejections,
+                (stats.rejected_steps - skipped.rejected_steps) as u64,
+            );
+            if recording {
+                shc_obs::count(shc_obs::Metric::PrefixRecordings, 1);
+            }
+            if skipped.steps > 0 {
+                shc_obs::count(shc_obs::Metric::PrefixResumes, 1);
+                shc_obs::observe(shc_obs::Metric::PrefixStepsSkipped, skipped.steps as u64);
+            }
         }
         result
     }
@@ -562,13 +863,20 @@ impl<'a> TransientAnalysis<'a> {
     }
 
     /// The stepping loop proper; accumulates work counters into `stats`
-    /// so [`TransientAnalysis::run_with_scratch`] can flush them to
-    /// telemetry on both the success and the failure path.
+    /// so [`TransientAnalysis::run_observed`] can flush them to telemetry
+    /// on both the success and the failure path.
+    ///
+    /// `ladder` only selects the initial state and, when recording, adds
+    /// a rung write after every [`RUNG_STRIDE`]-th accepted step. A
+    /// resumed run takes `x`, the sensitivities, `t`, `dt` and the prefix
+    /// times from its rung (`stats` arrives holding the rung's counters)
+    /// and skips the DC solve; everything else is the full run's code.
     fn run_core(
         &self,
         params: &Params,
         scratch: &mut TransientScratch,
         stats: &mut TransientStats,
+        mut ladder: Ladder<'_>,
     ) -> Result<TransientResult> {
         let circuit = self.circuit;
         let opts = &self.opts;
@@ -576,22 +884,36 @@ impl<'a> TransientAnalysis<'a> {
         scratch.ensure(n);
         scratch.configure_solver(circuit, params, opts.solver)?;
 
-        let x0 = match &opts.initial {
-            InitialCondition::DcOperatingPoint => dcop::solve_dc(circuit, params, &opts.dc)?.x,
-            InitialCondition::Given(x) => {
-                if x.len() != n {
-                    return Err(SpiceError::BadCircuit {
-                        reason: format!(
-                            "initial condition has {} entries, circuit has {n} unknowns",
-                            x.len()
-                        ),
-                    });
-                }
-                x.clone()
+        let (x0, t0, dt0, mut times, mut sens) = match &ladder {
+            Ladder::Resume { ladder, rung } => ladder.resume_state(*rung, &opts.sensitivities),
+            Ladder::None | Ladder::Record(_) => {
+                let x0 = match &opts.initial {
+                    InitialCondition::DcOperatingPoint => {
+                        dcop::solve_dc(circuit, params, &opts.dc)?.x
+                    }
+                    InitialCondition::Given(x) => {
+                        if x.len() != n {
+                            return Err(SpiceError::BadCircuit {
+                                reason: format!(
+                                    "initial condition has {} entries, circuit has {n} unknowns",
+                                    x.len()
+                                ),
+                            });
+                        }
+                        x.clone()
+                    }
+                };
+                // Sensitivities start at zero: x(0) is held fixed across
+                // skews (the data pulse is at its rest level at t = 0).
+                let sens: Vec<(Param, Vector)> = opts
+                    .sensitivities
+                    .iter()
+                    .map(|&p| (p, Vector::zeros(n)))
+                    .collect();
+                (x0, 0.0, opts.dt.min(opts.tstop), vec![0.0], sens)
             }
         };
 
-        let mut times = vec![0.0];
         let mut states = Vec::new();
         let mut probe = Vec::new();
         let probe_index = match opts.record {
@@ -603,14 +925,6 @@ impl<'a> TransientAnalysis<'a> {
             RecordMode::Probe(i) => probe.push(x0[i]),
             RecordMode::FinalOnly => {}
         }
-
-        // Sensitivities start at zero: x(0) is held fixed across skews
-        // (the data pulse is at its rest level at t = 0).
-        let mut sens: Vec<(Param, Vector)> = opts
-            .sensitivities
-            .iter()
-            .map(|&p| (p, Vector::zeros(n)))
-            .collect();
 
         // Borrow every workspace buffer up front as disjoint fields so the
         // Newton closure (which mutates `nr_stamps`) can coexist with the
@@ -651,21 +965,27 @@ impl<'a> TransientAnalysis<'a> {
         };
         let device_work = circuit.device_count() as u64;
 
-        // Previous-step quantities for the recursions.
+        // Previous-step quantities for the recursions. On a resumed run
+        // this is the accepted-point stamp the loop below would have left.
         let mut x_prev = x0;
-        let mut t_prev = 0.0;
-        circuit.assemble_into(stamps_prev, &x_prev, 0.0, params, 1.0);
+        let mut t_prev = t0;
+        circuit.assemble_into(stamps_prev, &x_prev, t_prev, params, 1.0);
         let mut dfdp_prev: Vec<Vector> = opts
             .sensitivities
             .iter()
-            .map(|&p| circuit.assemble_dfdp(0.0, params, p))
+            .map(|&p| circuit.assemble_dfdp(t_prev, params, p))
             .collect();
 
-        let mut dt = opts.dt.min(opts.tstop);
+        let mut dt = dt0;
+        // Latest time any waveform has been evaluated at: a rung is only
+        // as early as the DC solve's time and its last Newton attempt,
+        // which may have overshot the accepted step before a cut.
+        let mut reach = t_prev.max(opts.dc.time);
 
         while t_prev < opts.tstop - TSTOP_ENDPOINT_SLACK * opts.tstop.max(1.0) {
             let t_new = (t_prev + dt).min(opts.tstop);
             let dt_eff = t_new - t_prev;
+            reach = reach.max(t_new);
 
             // Newton solve of the discretized step equation. Residual and
             // Jacobian are built directly in the workspace buffers; no
@@ -851,6 +1171,16 @@ impl<'a> TransientAnalysis<'a> {
             // configured step after each accepted step.
             if dt < opts.dt {
                 dt = (dt * 2.0).min(opts.dt);
+            }
+            if let Ladder::Record(rec) = &mut ladder {
+                if stats.steps.is_multiple_of(RUNG_STRIDE) {
+                    let rung = Rung {
+                        reach,
+                        dt,
+                        stats: *stats,
+                    };
+                    rec.push_rung(rung, &x_prev, &sens);
+                }
             }
             lap_step.end_region(LAP_STEP_SELF);
         }
@@ -1397,6 +1727,79 @@ mod tests {
         assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
         assert_eq!(snap.counter(shc_obs::Metric::LteRejections), 4);
         assert_eq!(snap.counter(shc_obs::Metric::TransientSteps), 0);
+    }
+
+    /// A run resumed from a prefix ladder equals the full run bit for bit
+    /// — times, state, sensitivities, counters — and its warm loop
+    /// allocates no matrices. Outside the envelope (TRAP) nothing is
+    /// recorded.
+    #[test]
+    fn prefix_resume_is_bitwise_identical_and_allocation_free() {
+        let c = rc_chain_with_pulse(4);
+        let make_opts = |method| {
+            TransientOptions::builder(6e-7)
+                .dt(1e-9)
+                .integrator(method)
+                .sensitivities(&Param::ALL)
+                .record(RecordMode::FinalOnly)
+                .build()
+        };
+        let params = Params::new(1e-7, 1e-7);
+        let full = TransientAnalysis::new(&c, make_opts(Integrator::BackwardEuler))
+            .run(&params)
+            .unwrap();
+
+        let cache = PrefixCache::new();
+        let analysis =
+            TransientAnalysis::new(&c, make_opts(Integrator::BackwardEuler)).with_prefix(&cache);
+        let mut scratch = TransientScratch::new(c.unknown_count());
+        let recorder = shc_obs::Collector::new();
+        {
+            let _guard = shc_obs::install_scoped(&recorder);
+            analysis.run_with_scratch(&params, &mut scratch).unwrap();
+        }
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter(shc_obs::Metric::PrefixRecordings), 1);
+        assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 2);
+        let ladder = cache.ladder().expect("recorded");
+        assert!(ladder.rungs() > 4, "{} rungs", ladder.rungs());
+
+        let collector = shc_obs::Collector::new();
+        let before = shc_linalg::matrix_allocations();
+        let resumed = {
+            let _guard = shc_obs::install_scoped(&collector);
+            analysis.run_with_scratch(&params, &mut scratch).unwrap()
+        };
+        assert_eq!(shc_linalg::matrix_allocations() - before, 0);
+        let snap = collector.snapshot();
+        assert_eq!(snap.counter(shc_obs::Metric::PrefixResumes), 1);
+        let skipped = snap.counter(shc_obs::Metric::PrefixStepsSkipped);
+        assert!(skipped > 0);
+        assert_eq!(
+            snap.counter(shc_obs::Metric::TransientSteps) + skipped,
+            full.stats().steps as u64
+        );
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(resumed.times()), bits(full.times()));
+        assert_eq!(
+            bits(resumed.final_state().as_slice()),
+            bits(full.final_state().as_slice())
+        );
+        for p in Param::ALL {
+            assert_eq!(
+                bits(resumed.final_sensitivity(p).unwrap().as_slice()),
+                bits(full.final_sensitivity(p).unwrap().as_slice())
+            );
+        }
+        assert_eq!(resumed.stats(), full.stats());
+
+        let trap_cache = PrefixCache::new();
+        TransientAnalysis::new(&c, make_opts(Integrator::Trapezoidal))
+            .with_prefix(&trap_cache)
+            .run(&params)
+            .unwrap();
+        assert!(!trap_cache.recorded());
     }
 
     /// `run` and `run_with_scratch` must be observably identical.

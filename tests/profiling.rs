@@ -115,42 +115,66 @@ fn frame_stack_unwinds_cleanly_under_injected_faults() {
 
 #[test]
 fn serial_and_parallel_profiles_aggregate_identical_counts() {
-    let problem = fast_problem();
-    let hint = problem.register().reference_setup_hint().unwrap_or(0.5e-9);
     let count = 8;
-    let params = |i: usize| Params::new(hint * (1.0 + 0.05 * i as f64), 0.5e-9);
+    let params = |problem: &CharacterizationProblem, i: usize| {
+        let hint = problem.register().reference_setup_hint().unwrap_or(0.5e-9);
+        Params::new(hint * (1.0 + 0.05 * i as f64), 0.5e-9)
+    };
 
     // Timing differs run to run, but frame counts and work units are a
     // deterministic property of the workload: the parallel fan-out must
     // merge worker-thread trees into the same per-phase aggregates the
-    // serial run produces.
-    let run = |parallelism: Parallelism| -> Vec<(String, u64, u64)> {
+    // serial run produces. Returns the aggregates and the outputs' bits.
+    type Aggregates = Vec<(String, u64, u64)>;
+    let run = |problem: &CharacterizationProblem, parallelism: Parallelism| {
         let profiler = Profiler::with_detail(Detail::Iter);
-        {
+        let outputs = {
             let _profile = shc::prof::install_scoped(&profiler);
             shc::core::parallel::run_indexed(parallelism, count, |i| {
-                problem.evaluate(&params(i)).map(|h| h.to_bits())
+                problem.evaluate(&params(problem, i)).map(|h| h.to_bits())
             })
-            .expect("evaluations succeed");
-        }
-        let mut aggs: Vec<(String, u64, u64)> = profiler
+            .expect("evaluations succeed")
+        };
+        let mut aggs: Aggregates = profiler
             .report("sweep")
             .phases
             .into_iter()
             .map(|a| (a.phase, a.count, a.work))
             .collect();
         aggs.sort();
-        aggs
+        (aggs, outputs)
+    };
+    let work = |aggs: &Aggregates, phase: Phase| {
+        aggs.iter()
+            .find(|(p, _, _)| p == phase.name())
+            .map_or(0, |&(_, _, w)| w)
     };
 
-    let serial = run(Parallelism::Serial);
-    let parallel = run(Parallelism::Threads(4));
+    // One fresh problem per compared sweep: the first evaluation of a
+    // problem records its prefix ladder, so a later sweep on the same
+    // problem legitimately executes fewer steps. Four threads race the
+    // recording in the parallel sweep.
+    let serial_problem = fast_problem();
+    let (serial, serial_out) = run(&serial_problem, Parallelism::Serial);
+    let (parallel, parallel_out) = run(&fast_problem(), Parallelism::Threads(4));
     assert!(
-        serial.iter().any(|(p, _, _)| p == Phase::DeviceEval.name()),
+        work(&serial, Phase::DeviceEval) > 0,
         "serial sweep recorded no device evaluations: {serial:?}"
     );
     assert_eq!(
         serial, parallel,
         "serial and parallel per-phase (count, work) aggregates diverge"
+    );
+    assert_eq!(serial_out, parallel_out, "parallel sweep changed outputs");
+
+    // A warm sweep reuses the recorded ladder: the same bits for strictly
+    // less device work.
+    let (warm, warm_out) = run(&serial_problem, Parallelism::Serial);
+    assert_eq!(warm_out, serial_out, "warm sweep changed outputs");
+    assert!(
+        work(&warm, Phase::DeviceEval) < work(&serial, Phase::DeviceEval),
+        "warm sweep did no less device work: {} vs {}",
+        work(&warm, Phase::DeviceEval),
+        work(&serial, Phase::DeviceEval)
     );
 }
