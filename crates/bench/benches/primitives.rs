@@ -27,7 +27,8 @@ fn bench_primitives(c: &mut Criterion) {
 
     group.bench_function("lu_factor_solve", |b| {
         let stamps = circuit.assemble(&x, 3.3e-9, &params, 1.0);
-        let jac = shc_spice::Circuit::combine_jacobian(&stamps.c, &stamps.g, 1.0 / 4e-12)
+        let mut jac = stamps.c.scale(1.0 / 4e-12);
+        jac.axpy(1.0, &stamps.g)
             .expect("C and G share the MNA shape");
         let rhs = Vector::filled(n, 1e-3);
         b.iter(|| {

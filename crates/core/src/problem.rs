@@ -86,8 +86,8 @@ pub struct CharacterizationProblem {
     r: f64,
     sim_count: AtomicUsize,
     calibration_sims: usize,
-    /// The data-at-rest trajectory every scalar evaluation resumes from,
-    /// recorded by the first evaluation that may use it.
+    /// The data-at-rest trajectory every evaluation resumes from, scalar or
+    /// lockstep, recorded by the first evaluation that may use it.
     prefix: PrefixCache,
 }
 
@@ -231,8 +231,10 @@ impl CharacterizationProblem {
     /// Evaluates `h(τs, τh)` at many skew points with one lockstep batch
     /// (no sensitivities), falling back to a scalar loop whenever the
     /// problem's [`BatchPolicy`] or the batched engine's envelope says so.
-    /// Results are in input order and bitwise identical to calling
-    /// [`Self::evaluate`] per point.
+    /// The batch starts from the problem's data-at-rest prefix ladder, as
+    /// [`Self::evaluate`] does, recording it on first use. Results are in
+    /// input order and bitwise identical to calling [`Self::evaluate`] per
+    /// point.
     ///
     /// # Errors
     ///
@@ -256,7 +258,10 @@ impl CharacterizationProblem {
             })
             .collect();
         let out = self.register.output_unknown();
-        run_lockstep(&lanes, &opts)
+        let ladder = TransientAnalysis::new(self.register.circuit(), opts.clone())
+            .with_prefix(&self.prefix)
+            .prefix_ladder();
+        run_lockstep(&lanes, &opts, ladder)
             .map_err(CharError::from)?
             .into_iter()
             .map(|lane| Ok(lane?.final_state()[out] - self.r))
@@ -410,7 +415,9 @@ pub(crate) fn evaluate_jacobian_lockstep(
             tstop: problem.tf,
         })
         .collect();
-    match run_lockstep(&batch, &opts) {
+    // The lanes run different problems' circuits, so no one ladder serves
+    // them.
+    match run_lockstep(&batch, &opts, None) {
         Ok(results) => lanes
             .iter()
             .zip(results)

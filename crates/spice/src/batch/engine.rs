@@ -36,8 +36,8 @@ use crate::circuit::Circuit;
 use crate::dcop;
 use crate::newton::{self, NewtonOptions};
 use crate::transient::{
-    with_lu_fault_retries, TransientOptions, TransientResult, TransientStats, DT_FLOOR_SLACK,
-    NEWTON_FAULT_RETRIES, NEWTON_FLOOR_RETRIES, TSTOP_ENDPOINT_SLACK,
+    with_lu_fault_retries, PrefixLadder, TransientOptions, TransientResult, TransientStats,
+    DT_FLOOR_SLACK, NEWTON_FAULT_RETRIES, NEWTON_FLOOR_RETRIES, REST_SKEWS, TSTOP_ENDPOINT_SLACK,
 };
 use crate::waveform::Params;
 use crate::{Result, SpiceError};
@@ -117,8 +117,11 @@ struct LaneState {
     t_prev: f64,
     dt: f64,
     status: LaneStatus,
+    /// The logical full-run counters, as the scalar run reports them.
     stats: TransientStats,
-    times: Vec<f64>,
+    /// The part of `stats` this lane took over instead of executing: its
+    /// rung's counters, or the trunk's for lanes the trunk did not run.
+    skipped: TransientStats,
     err: Option<SpiceError>,
     /// This round's step attempt.
     stepping: bool,
@@ -434,6 +437,54 @@ fn injected_run_fault(opts: &TransientOptions) -> Option<SpiceError> {
     })
 }
 
+/// Where [`Engine::init`] starts its lanes.
+#[derive(Debug, Clone, Copy)]
+enum Start<'l> {
+    /// Each lane's own DC operating point at `t = 0`.
+    Dc,
+    /// Rung `k` of a prefix ladder recorded on every lane's circuit, valid
+    /// for every lane (see [`ladder_rung`]).
+    Rung(&'l PrefixLadder, usize),
+}
+
+impl Start<'_> {
+    /// The simulation time the lanes start at.
+    fn time(self) -> f64 {
+        match self {
+            Start::Dc => 0.0,
+            Start::Rung(ladder, k) => ladder.rung(k).t,
+        }
+    }
+}
+
+/// The rung of `ladder` every lane of the batch may start from: the last
+/// one whose reach lies strictly before the earliest agreement horizon of
+/// [`REST_SKEWS`] and a lane's skews. Requires every lane to run the
+/// ladder's own circuit to the ladder's `tstop` under options the ladder
+/// serves, and no fault injector (a resumed lane would skip its prefix's
+/// fault draws).
+fn ladder_rung(
+    ladder: &PrefixLadder,
+    lanes: &[BatchLane<'_>],
+    opts: &TransientOptions,
+) -> Option<usize> {
+    let circuit = lanes.first()?.circuit;
+    let usable = !shc_fault::enabled()
+        && ladder.recorded_on(circuit)
+        && ladder.serves(circuit, opts)
+        && lanes.iter().all(|lane| {
+            std::ptr::eq(lane.circuit, circuit) && lane.tstop.to_bits() == opts.tstop.to_bits()
+        });
+    if !usable {
+        return None;
+    }
+    let horizon = lanes
+        .iter()
+        .map(|lane| circuit.agreement_horizon(&REST_SKEWS, &lane.params))
+        .fold(f64::INFINITY, f64::min);
+    ladder.rung_below(horizon)
+}
+
 /// Runs every lane to its stop time in lockstep.
 ///
 /// Returns one `Result` per lane, in lane order: `Ok` with a final-only
@@ -442,10 +493,18 @@ fn injected_run_fault(opts: &TransientOptions) -> Option<SpiceError> {
 /// *structural* problems (mixed dimensions, an unsupported configuration,
 /// an uncompilable lane circuit) before any simulation starts.
 ///
+/// With `prefix`, the ladder of the lanes' circuit
+/// ([`crate::transient::TransientAnalysis::prefix_ladder`]), the batch
+/// starts from the last rung valid for every lane instead of the DC
+/// point, when every lane runs that circuit to the ladder's `tstop` and
+/// no fault injector is installed; otherwise it starts from DC. Results
+/// are bitwise the same either way.
+///
 /// Telemetry: one `Transient` span/phase frame and one `TransientRuns`
 /// count of `lanes.len()` covers the whole batch; per-lane steps, Newton
 /// iterations, and rejections are observed individually at the end so
-/// distribution metrics match `lanes.len()` scalar runs.
+/// distribution metrics match `lanes.len()` scalar runs. They count
+/// executed work only: the shared trunk's steps once, a rung's none.
 ///
 /// # Errors
 ///
@@ -455,6 +514,7 @@ fn injected_run_fault(opts: &TransientOptions) -> Option<SpiceError> {
 pub fn run_lockstep(
     lanes: &[BatchLane<'_>],
     opts: &TransientOptions,
+    prefix: Option<&PrefixLadder>,
 ) -> Result<Vec<Result<TransientResult>>> {
     if lanes.is_empty() {
         return Ok(Vec::new());
@@ -498,7 +558,7 @@ pub fn run_lockstep(
         // telemetry grouping) is lost.
         let mut results = Vec::with_capacity(lanes.len());
         for lane in lanes {
-            results.extend(run_lockstep(std::slice::from_ref(lane), opts)?);
+            results.extend(run_lockstep(std::slice::from_ref(lane), opts, prefix)?);
         }
         return Ok(results);
     };
@@ -525,7 +585,11 @@ pub fn run_lockstep(
     // `b − 1` redundant DC solves and prefix transients. Fault-injection
     // campaigns skip the trunk: sharing would collapse the documented
     // per-lane draw cadence. Lanes with different stop times keep their
-    // own step schedules, so they forgo the trunk too.
+    // own step schedules, so they forgo the trunk too. The trunk starts
+    // where the lanes would: at the batch's rung, or at the DC point.
+    let start = prefix
+        .and_then(|ladder| Some(Start::Rung(ladder, ladder_rung(ladder, lanes, opts)?)))
+        .unwrap_or(Start::Dc);
     let horizon = if lanes.len() >= 2
         && !shc_fault::enabled()
         && lanes
@@ -539,16 +603,16 @@ pub fn run_lockstep(
     };
 
     let mut engine = Engine::new(lanes, soa, opts);
-    if horizon > 0.0 {
+    if horizon > start.time() {
         let trunk_soa =
             SoaCircuit::merge(&compiled[..1]).expect("a single lane always merges with itself");
         let mut trunk = Engine::new(&lanes[..1], trunk_soa, opts);
         trunk.t_limit = horizon;
-        trunk.init(&lanes[..1]);
+        trunk.init(&lanes[..1], start);
         trunk.run(&lap_step, &lap_iter);
         engine.adopt_trunk(trunk);
     } else {
-        engine.init(lanes);
+        engine.init(lanes, start);
     }
     engine.run(&lap_step, &lap_iter);
     engine.flush_observations();
@@ -557,8 +621,7 @@ pub fn run_lockstep(
 
 /// The SoA state of one batch. All numeric buffers are flat `Vec<f64>`
 /// in *element-major* blocks (`element·b + lane`), allocated once in
-/// [`Engine::new`]; the stepping rounds are allocation-free apart from
-/// the amortized per-step `times` push.
+/// [`Engine::new`]; the stepping rounds are allocation-free.
 ///
 /// Buffer geometry (`b` lanes, `n` unknowns): plain blocks are `n·b`
 /// (vectors) / `n²·b` (matrices); the blocks fed to
@@ -576,6 +639,9 @@ struct Engine<'e> {
     /// batch's agreement horizon here; a full run uses `+∞`. Pausing at
     /// the ceiling never alters the arithmetic of the steps taken.
     t_limit: f64,
+    /// Accepted steps every lane took from a prefix-ladder rung instead of
+    /// executing; `0` after a DC start.
+    rung_steps: usize,
     opts: &'e TransientOptions,
     soa: SoaCircuit,
     lanes: Vec<LaneState>,
@@ -640,26 +706,22 @@ impl<'e> Engine<'e> {
         let b = lanes.len();
         let lane_states = lanes
             .iter()
-            .map(|lane| {
-                let dt = opts.dt.min(lane.tstop);
-                let cap = (lane.tstop / dt).ceil() as usize + 2;
-                LaneState {
-                    params: lane.params,
-                    tstop: lane.tstop,
-                    t_prev: 0.0,
-                    dt,
-                    status: LaneStatus::Active,
-                    stats: TransientStats::default(),
-                    times: Vec::with_capacity(cap),
-                    err: None,
-                    stepping: false,
-                    t_new: 0.0,
-                    dt_eff: 0.0,
-                    nw_active: false,
-                    nw_iters: 0,
-                    nw_err: None,
-                    nw_last_norm: f64::INFINITY,
-                }
+            .map(|lane| LaneState {
+                params: lane.params,
+                tstop: lane.tstop,
+                t_prev: 0.0,
+                dt: opts.dt.min(lane.tstop),
+                status: LaneStatus::Active,
+                stats: TransientStats::default(),
+                skipped: TransientStats::default(),
+                err: None,
+                stepping: false,
+                t_new: 0.0,
+                dt_eff: 0.0,
+                nw_active: false,
+                nw_iters: 0,
+                nw_err: None,
+                nw_last_norm: f64::INFINITY,
             })
             .collect();
         Engine {
@@ -667,6 +729,7 @@ impl<'e> Engine<'e> {
             n_sens,
             b,
             t_limit: f64::INFINITY,
+            rung_steps: 0,
             opts,
             soa,
             lanes: lane_states,
@@ -705,12 +768,18 @@ impl<'e> Engine<'e> {
         lane.stepping = false;
     }
 
-    /// Per-lane setup — run-site fault draws and scalar DC operating
-    /// points in lane order (preserving the scalar per-run draw cadence)
-    /// — then one SoA assembly for the `t = 0` history stamps (`q_prev`,
+    /// Per-lane setup — run-site fault draws and the initial states in
+    /// lane order (preserving the scalar per-run draw cadence) — then one
+    /// SoA assembly at the start time for the history stamps (`q_prev`,
     /// `c_prev`). Assembly draws nothing, so batching it after the
     /// per-lane loop leaves the cadence untouched.
-    fn init(&mut self, input: &[BatchLane<'_>]) {
+    ///
+    /// From [`Start::Dc`] each lane solves its DC operating point. From
+    /// [`Start::Rung`] each lane takes x, the requested sensitivities, t,
+    /// dt and the counters from the rung, as a resumed scalar run does;
+    /// the assembly then re-stamps the accepted point the full run's last
+    /// step stamped, so the lanes continue bitwise as full runs.
+    fn init(&mut self, input: &[BatchLane<'_>], start: Start<'_>) {
         let n = self.n;
         let b = self.b;
         for (l, lane_in) in input.iter().enumerate().take(self.lanes.len()) {
@@ -718,20 +787,43 @@ impl<'e> Engine<'e> {
                 self.fail(l, e);
                 continue;
             }
-            let x0 = match dcop::solve_dc(lane_in.circuit, &self.lanes[l].params, &self.opts.dc) {
-                Ok(dc) => dc.x,
-                Err(e) => {
-                    self.fail(l, e);
-                    continue;
+            let dc;
+            let x0 = match start {
+                Start::Dc => {
+                    match dcop::solve_dc(lane_in.circuit, &self.lanes[l].params, &self.opts.dc) {
+                        Ok(sol) => {
+                            dc = sol.x;
+                            dc.as_slice()
+                        }
+                        Err(e) => {
+                            self.fail(l, e);
+                            continue;
+                        }
+                    }
+                }
+                Start::Rung(ladder, k) => {
+                    for (j, &param) in self.opts.sensitivities.iter().enumerate() {
+                        let s0 = (l * self.n_sens + j) * n;
+                        self.m[s0..s0 + n].copy_from_slice(ladder.rung_sensitivity(k, param));
+                    }
+                    let rung = ladder.rung(k);
+                    let lane = &mut self.lanes[l];
+                    lane.t_prev = rung.t;
+                    lane.dt = rung.dt;
+                    lane.stats = rung.stats;
+                    lane.skipped = rung.stats;
+                    self.rung_steps = rung.stats.steps;
+                    ladder.rung_state(k)
                 }
             };
-            for (i, v) in x0.as_slice().iter().enumerate() {
+            for (i, v) in x0.iter().enumerate() {
                 self.x_prev[soa_idx(i, l, b)] = *v;
             }
         }
         {
             let Engine {
                 soa,
+                lanes,
                 x,
                 x_prev,
                 t_v,
@@ -743,21 +835,22 @@ impl<'e> Engine<'e> {
                 ..
             } = self;
             x[..n * b].copy_from_slice(x_prev);
-            t_v.fill(0.0);
+            for (t, lane) in t_v.iter_mut().zip(lanes.iter()) {
+                *t = lane.t_prev;
+            }
             soa.assemble_all(x, t_v, params_v, q, f, c, g);
         }
         self.q_prev.copy_from_slice(&self.q[..n * b]);
-        for l in 0..self.lanes.len() {
-            if self.lanes[l].status != LaneStatus::Active {
-                continue;
-            }
-            if self.n_sens > 0 {
+        if self.n_sens > 0 {
+            for l in 0..self.lanes.len() {
+                if self.lanes[l].status != LaneStatus::Active {
+                    continue;
+                }
                 let m0 = l * n * n;
                 for idx in 0..n * n {
                     self.c_prev[m0 + idx] = self.c[idx * b + l];
                 }
             }
-            self.lanes[l].times.push(0.0);
         }
     }
 
@@ -772,7 +865,8 @@ impl<'e> Engine<'e> {
     /// are broadcast verbatim. A trunk that finished (`Done`) or retired
     /// (`Failed`) determines every lane's outcome the same way, because
     /// each lane's scalar run would have performed the identical
-    /// computation.
+    /// computation. The trunk's executed work is accounted to lane 0, the
+    /// lane it ran; the other lanes skipped it.
     fn adopt_trunk(&mut self, trunk: Engine<'_>) {
         debug_assert_eq!(trunk.b, 1);
         debug_assert_eq!(trunk.n, self.n);
@@ -792,14 +886,15 @@ impl<'e> Engine<'e> {
             }
         }
         let src = &trunk.lanes[0];
-        for lane in self.lanes.iter_mut() {
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
             lane.t_prev = src.t_prev;
             lane.dt = src.dt;
             lane.status = src.status;
             lane.stats = src.stats;
-            lane.times = src.times.clone();
+            lane.skipped = if l == 0 { src.skipped } else { src.stats };
             lane.err = src.err.clone();
         }
+        self.rung_steps = trunk.rung_steps;
     }
 
     /// Arms lane `l` for a Newton solve: entry fault draw, then the
@@ -1253,8 +1348,8 @@ impl<'e> Engine<'e> {
         Ok(())
     }
 
-    /// End-of-round bookkeeping for accepted lanes: statistics, time
-    /// record, history rotation, and fixed-step dt recovery.
+    /// End-of-round bookkeeping for accepted lanes: statistics, history
+    /// rotation, and fixed-step dt recovery.
     fn finish_round(&mut self, lap_step: &shc_prof::Laps) {
         let n = self.n;
         let b = self.b;
@@ -1284,8 +1379,6 @@ impl<'e> Engine<'e> {
             }
             lane.stepping = false;
             lane.stats.steps += 1;
-            // lint: allow(hot-loop-alloc, reason = "amortized: one push per accepted step into a capacity-reserved Vec")
-            lane.times.push(lane.t_new);
             if has_sens {
                 // De-interleave this lane's accepted-step `C` into the
                 // lane-major sensitivity history.
@@ -1348,21 +1441,27 @@ impl<'e> Engine<'e> {
     }
 
     /// Per-lane work counters, flushed once at the end so distribution
-    /// metrics match `lanes` individual scalar runs.
+    /// metrics match `lanes` individual scalar runs. Like a resumed scalar
+    /// run's, they count executed work only (`stats − skipped`).
     fn flush_observations(&self) {
-        let total_steps: u64 = self.lanes.iter().map(|l| l.stats.steps as u64).sum();
+        use shc_obs::Metric;
+        let executed = |lane: &LaneState, f: fn(&TransientStats) -> usize| {
+            (f(&lane.stats) - f(&lane.skipped)) as u64
+        };
+        let total_steps: u64 = self.lanes.iter().map(|l| executed(l, |s| s.steps)).sum();
         shc_prof::add_work(total_steps);
         if shc_obs::enabled() {
             for lane in &self.lanes {
-                shc_obs::observe(shc_obs::Metric::TransientSteps, lane.stats.steps as u64);
+                shc_obs::observe(Metric::TransientSteps, executed(lane, |s| s.steps));
                 shc_obs::observe(
-                    shc_obs::Metric::NewtonIterations,
-                    lane.stats.newton_iterations as u64,
+                    Metric::NewtonIterations,
+                    executed(lane, |s| s.newton_iterations),
                 );
-                shc_obs::observe(
-                    shc_obs::Metric::LteRejections,
-                    lane.stats.rejected_steps as u64,
-                );
+                shc_obs::observe(Metric::LteRejections, executed(lane, |s| s.rejected_steps));
+                if self.rung_steps > 0 {
+                    shc_obs::count(Metric::PrefixResumes, 1);
+                    shc_obs::observe(Metric::PrefixStepsSkipped, self.rung_steps as u64);
+                }
             }
         }
     }
@@ -1391,12 +1490,7 @@ impl<'e> Engine<'e> {
                             (opts.sensitivities[k], Vector::from_slice(&m[s0..s0 + n]))
                         })
                         .collect();
-                    Ok(TransientResult::from_parts(
-                        lane.times,
-                        final_state,
-                        sens,
-                        lane.stats,
-                    ))
+                    Ok(TransientResult::from_parts(final_state, sens, lane.stats))
                 }
             })
             .collect()
@@ -1637,7 +1731,7 @@ mod tests {
             tstop,
         })
         .collect();
-        let results = run_lockstep(&lanes, &base).expect("structurally valid batch");
+        let results = run_lockstep(&lanes, &base, None).expect("structurally valid batch");
         assert_eq!(results.len(), lanes.len());
         for (lane, result) in lanes.iter().zip(results.iter()) {
             let r = result.as_ref().expect("lane converges");
@@ -1667,7 +1761,7 @@ mod tests {
                 tstop: base.tstop,
             })
             .collect();
-        let results = run_lockstep(&lanes, &base).expect("structurally valid batch");
+        let results = run_lockstep(&lanes, &base, None).expect("structurally valid batch");
         for (lane, result) in lanes.iter().zip(results.iter()) {
             let r = result.as_ref().expect("lane converges");
             assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
@@ -1690,7 +1784,7 @@ mod tests {
                 tstop: base.tstop,
             })
             .collect();
-        let results = run_lockstep(&lanes, &base).expect("structurally valid batch");
+        let results = run_lockstep(&lanes, &base, None).expect("structurally valid batch");
         assert_eq!(results.len(), 4);
         for result in &results {
             let r = result.as_ref().expect("lane converges");
@@ -1727,7 +1821,8 @@ mod tests {
                 tstop: base.tstop,
             },
         ];
-        let results = run_lockstep(&lanes, &base).expect("mixed topology splits, not rejects");
+        let results =
+            run_lockstep(&lanes, &base, None).expect("mixed topology splits, not rejects");
         assert_eq!(results.len(), 2);
         for (lane, result) in lanes.iter().zip(results.iter()) {
             let r = result.as_ref().expect("lane converges");
@@ -1752,14 +1847,14 @@ mod tests {
                 tstop: 10e-9,
             },
         ];
-        let err = run_lockstep(&lanes, &base).expect_err("mixed dimensions");
+        let err = run_lockstep(&lanes, &base, None).expect_err("mixed dimensions");
         assert!(matches!(err, SpiceError::BadCircuit { .. }));
     }
 
     #[test]
     fn empty_batch_returns_no_results() {
         let base = opts(10e-9, false);
-        let results = run_lockstep(&[], &base).expect("empty batch is fine");
+        let results = run_lockstep(&[], &base, None).expect("empty batch is fine");
         assert!(results.is_empty());
     }
 
@@ -1795,7 +1890,7 @@ mod tests {
                 seed,
             });
             let guard = shc_fault::install_scoped(&injector);
-            let results = run_lockstep(&lanes, &base).expect("structurally valid");
+            let results = run_lockstep(&lanes, &base, None).expect("structurally valid");
             drop(guard);
             let failed = results.iter().filter(|r| r.is_err()).count();
             if failed > 0 && failed < lanes.len() {
@@ -1835,12 +1930,13 @@ mod tests {
             seed: 7,
         });
         let guard = shc_fault::install_scoped(&injector);
-        let results = run_lockstep(&lanes, &base).expect("structurally valid");
+        let results = run_lockstep(&lanes, &base, None).expect("structurally valid");
         drop(guard);
         assert!(injector.injected() > 0, "plan should fire at this rate");
         for result in &results {
             let r = result.as_ref().expect("retries absorb sparse faults");
-            assert_eq!(r.times().len(), r.stats().steps + 1);
+            // Final-only lanes keep no step times.
+            assert!(r.times().is_empty() && r.stats().steps > 0);
         }
     }
 
@@ -1861,7 +1957,7 @@ mod tests {
             .collect();
         let soa = SoaCircuit::merge(&compiled).expect("same topology merges");
         let mut engine = Engine::new(&lanes, soa, &base);
-        engine.init(&lanes); // DC solves allocate; that's setup, not stepping
+        engine.init(&lanes, Start::Dc); // DC solves allocate; that's setup, not stepping
         let lap_step = shc_prof::Laps::step();
         let lap_iter = shc_prof::Laps::iter();
         let before = shc_linalg::matrix_allocations();
@@ -1873,6 +1969,105 @@ mod tests {
             "lockstep stepping rounds must not allocate matrices"
         );
         let results = engine.into_results();
-        assert!(results.iter().all(|r| r.is_ok()));
+        // Final-only lanes keep nothing but the final state: no step times.
+        assert!(results
+            .iter()
+            .all(|r| r.as_ref().is_ok_and(|r| r.times().is_empty())));
+    }
+
+    #[test]
+    fn lanes_resume_from_the_ladder_and_count_executed_work_only() {
+        use crate::transient::PrefixCache;
+        use shc_obs::Metric;
+        let circuit = inverter_circuit();
+        let base = opts(12e-9, true);
+        let cache = PrefixCache::new();
+        let ladder = TransientAnalysis::new(&circuit, base.clone())
+            .with_prefix(&cache)
+            .prefix_ladder()
+            .expect("inside the resume envelope");
+        let lanes = |skews: &[Params]| -> Vec<BatchLane<'_>> {
+            skews
+                .iter()
+                .map(|&params| BatchLane {
+                    circuit: &circuit,
+                    params,
+                    tstop: base.tstop,
+                })
+                .collect()
+        };
+        // One batch under a collector: its results and the executed
+        // steps, resumes and resumed steps it reports.
+        let run = |lanes: &[BatchLane<'_>], prefix: Option<&PrefixLadder>| {
+            let collector = shc_obs::Collector::new();
+            let results = {
+                let _guard = shc_obs::install_scoped(&collector);
+                run_lockstep(lanes, &base, prefix).expect("structurally valid batch")
+            };
+            let snap = collector.snapshot();
+            let counts = [
+                Metric::TransientSteps,
+                Metric::PrefixResumes,
+                Metric::PrefixStepsSkipped,
+            ]
+            .map(|m| snap.counter(m));
+            (results, counts)
+        };
+        let check = |lanes: &[BatchLane<'_>], results: &[Result<TransientResult>]| {
+            for (lane, result) in lanes.iter().zip(results) {
+                let r = result.as_ref().expect("lane converges");
+                assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
+            }
+        };
+
+        // Identical lanes: the trunk runs the whole simulation, and its
+        // steps count once, not once per lane; from a rung, the rung's
+        // steps count zero.
+        let same = lanes(&[Params::new(0.3e-9, 0.2e-9); 4]);
+        let k = ladder_rung(ladder, &same, &base).expect("a rung before the data edge");
+        let skipped = ladder.rung_steps(k).expect("rung exists") as u64;
+        assert!(skipped > 0);
+        let full = TransientAnalysis::new(&circuit, base.clone())
+            .run(&same[0].params)
+            .expect("scalar run")
+            .stats()
+            .steps as u64;
+        let (dc, dc_counts) = run(&same, None);
+        let (resumed, counts) = run(&same, Some(ladder));
+        check(&same, &dc);
+        check(&same, &resumed);
+        assert_eq!(dc_counts, [full, 0, 0]);
+        assert_eq!(counts, [full - skipped, 4, 4 * skipped]);
+
+        // Lanes over two setup skews: the trunk stops at their horizon,
+        // and the rung is the one below the earliest lane's.
+        let mixed = lanes(&[
+            Params::new(0.3e-9, 0.2e-9),
+            Params::new(0.3e-9, 0.6e-9),
+            Params::new(0.7e-9, -0.1e-9),
+        ]);
+        let k = ladder_rung(ladder, &mixed, &base).expect("a rung before the data edge");
+        let skipped = ladder.rung_steps(k).expect("rung exists") as u64;
+        let (dc, dc_counts) = run(&mixed, None);
+        let (resumed, counts) = run(&mixed, Some(ladder));
+        check(&mixed, &dc);
+        check(&mixed, &resumed);
+        assert_eq!(counts[0], dc_counts[0] - skipped);
+        assert_eq!(counts[1..], [3, 3 * skipped]);
+
+        // A lane on another circuit, or a fault injector, keeps the batch
+        // at the DC start.
+        let other = inverter_circuit();
+        let mut foreign = mixed.clone();
+        foreign[1].circuit = &other;
+        assert_eq!(ladder_rung(ladder, &foreign, &base), None);
+        let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
+            probability: 0.0,
+            site: None,
+            kind: shc_fault::FaultKind::NonConvergence,
+            seed: 1,
+        });
+        let _faults = shc_fault::install_scoped(&injector);
+        assert_eq!(ladder_rung(ladder, &mixed, &base), None);
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use shc_linalg::{Matrix, Vector};
+use shc_linalg::Vector;
 
 use crate::devices::Device;
 use crate::stamp::{EvalContext, Stamper, Stamps};
@@ -386,19 +386,6 @@ impl Circuit {
         }
     }
 
-    /// Builds the combined Jacobian `C·a + G` used by implicit integrators
-    /// (`a = 1/Δt` for BE after scaling, etc.).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SpiceError::Linalg`] when `c` and `g` differ in shape —
-    /// i.e. the stamps come from two different circuits.
-    pub fn combine_jacobian(c: &Matrix, g: &Matrix, a: f64) -> crate::Result<Matrix> {
-        let mut j = c.scale(a);
-        j.axpy(1.0, g)?;
-        Ok(j)
-    }
-
     /// A time `t*` such that this circuit evaluates *bitwise-identical*
     /// stamps and skew derivatives under `pa` and `pb` for every `t < t*`
     /// — the scalar twin of [`crate::batch::SoaCircuit::agreement_horizon`].
@@ -551,13 +538,5 @@ mod tests {
             Waveform::dc(0.0),
         ));
         assert_eq!(c.agreement_horizon(&pb, &pb), 0.0);
-    }
-
-    #[test]
-    fn combine_jacobian_scales_c() {
-        let c = Matrix::identity(2);
-        let g = Matrix::identity(2).scale(3.0);
-        let j = Circuit::combine_jacobian(&c, &g, 10.0).unwrap();
-        assert_eq!(j[(0, 0)], 13.0);
     }
 }

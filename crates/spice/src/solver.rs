@@ -222,6 +222,13 @@ mod tests {
     use crate::waveform::Waveform;
     use crate::Circuit;
 
+    /// The implicit-step Jacobian `C·a + G`.
+    fn step_jacobian(stamps: &Stamps, a: f64) -> Matrix {
+        let mut j = stamps.c.scale(a);
+        j.axpy(1.0, &stamps.g).unwrap();
+        j
+    }
+
     fn rc_chain(stages: usize) -> Circuit {
         let mut c = Circuit::new();
         let mut prev = c.node("in");
@@ -284,7 +291,7 @@ mod tests {
             x[i] = 0.1 * (i as f64 + 1.0);
         }
         let stamps = circuit.assemble(&x, 1e-9, &params, 1.0);
-        let jac = Circuit::combine_jacobian(&stamps.c, &stamps.g, 1.0 / 1e-12).unwrap();
+        let jac = step_jacobian(&stamps, 1.0 / 1e-12);
 
         let mut b = Vector::zeros(n);
         for i in 0..n {
@@ -298,7 +305,7 @@ mod tests {
         assert!(xs.sub(&xd).norm_inf() < 1e-12 * xd.norm_inf().max(1.0));
 
         // Refactor path: scale the Jacobian, solve again, compare again.
-        let jac2 = Circuit::combine_jacobian(&stamps.c, &stamps.g, 1.0 / 2e-12).unwrap();
+        let jac2 = step_jacobian(&stamps, 1.0 / 2e-12);
         solver.factor_from(&jac2).unwrap();
         solver.solve_into(&b, &mut xs).unwrap();
         let xd2 = jac2.lu().unwrap().solve(&b).unwrap();

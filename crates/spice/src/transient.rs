@@ -323,13 +323,12 @@ impl TransientResult {
     /// Assembles a final-only result from parts — for the batched lockstep
     /// engine, which builds the same fields outside [`run_core`].
     pub(crate) fn from_parts(
-        times: Vec<f64>,
         final_state: Vector,
         final_sensitivities: Vec<(Param, Vector)>,
         stats: TransientStats,
     ) -> Self {
         TransientResult {
-            times,
+            times: Vec::new(),
             states: Vec::new(),
             probe: Vec::new(),
             probe_index: None,
@@ -339,7 +338,8 @@ impl TransientResult {
         }
     }
 
-    /// Accepted time points (includes `t = 0`).
+    /// Accepted time points, the start time first; empty under
+    /// [`RecordMode::FinalOnly`].
     pub fn times(&self) -> &[f64] {
         &self.times
     }
@@ -479,10 +479,11 @@ pub const RUNG_STRIDE: usize = 16;
 pub struct PrefixLadder {
     /// Options of the recorded run; resumed runs must match them.
     opts: TransientOptions,
+    /// Address of the recorded circuit. Lockstep batches compare it with
+    /// their lanes' circuits; it is never dereferenced.
+    circuit: usize,
     /// MNA dimension of the recorded circuit.
     n: usize,
-    /// Accepted times of the recorded run, `t = 0` first.
-    times: Vec<f64>,
     /// The rungs' scalars, in step order.
     rungs: Vec<Rung>,
     /// Per rung, flat: the state, then one vector per sensitivity in
@@ -492,26 +493,30 @@ pub struct PrefixLadder {
 
 /// The scalar part of one rung of a [`PrefixLadder`].
 #[derive(Debug, Clone, Copy)]
-struct Rung {
+pub(crate) struct Rung {
+    /// The rung's simulation time.
+    pub(crate) t: f64,
     /// The latest time a waveform was evaluated at on the way to the
     /// rung. Equals the rung's time unless a Newton step cut overshot.
     reach: f64,
     /// The step size the next attempt takes.
-    dt: f64,
-    /// The run's counters so far (`steps` indexes the ladder's times).
-    stats: TransientStats,
+    pub(crate) dt: f64,
+    /// The run's counters so far.
+    pub(crate) stats: TransientStats,
 }
 
 impl PrefixLadder {
-    /// An empty ladder with room for the rungs of a run without step cuts.
-    fn sized(opts: TransientOptions, n: usize) -> Self {
+    /// An empty ladder for `circuit` with room for the rungs of a run
+    /// without step cuts.
+    fn sized(circuit: &Circuit, opts: TransientOptions) -> Self {
+        let n = circuit.unknown_count();
         let steps = (opts.tstop / opts.dt).ceil() as usize;
         let rungs = steps / RUNG_STRIDE + 1;
         let width = (1 + opts.sensitivities.len()) * n;
         PrefixLadder {
             opts,
+            circuit: std::ptr::from_ref(circuit) as usize,
             n,
-            times: Vec::new(),
             rungs: Vec::with_capacity(rungs),
             vectors: Vec::with_capacity(rungs * width),
         }
@@ -530,7 +535,7 @@ impl PrefixLadder {
 
     /// Simulation time of rung `k`, or `None` past the last rung.
     pub fn rung_time(&self, k: usize) -> Option<f64> {
-        self.rung_steps(k).and_then(|s| self.times.get(s).copied())
+        self.rungs.get(k).map(|r| r.t)
     }
 
     /// Appends the rung for the current stepping state. Allocation-free
@@ -545,63 +550,69 @@ impl PrefixLadder {
     }
 
     fn shrink_to_fit(&mut self) {
-        self.times.shrink_to_fit();
         self.rungs.shrink_to_fit();
         self.vectors.shrink_to_fit();
+    }
+
+    /// Whether runs of `circuit` under `opts` (inside the resume envelope)
+    /// may resume from this ladder at all: same MNA dimension, `tstop`,
+    /// `dt`, `dt_min`, Newton and DC settings as the recording, and every
+    /// requested sensitivity carried. Scalar runs and lockstep batches
+    /// both check this.
+    pub(crate) fn serves(&self, circuit: &Circuit, opts: &TransientOptions) -> bool {
+        let l = &self.opts;
+        opts.tstop.to_bits() == l.tstop.to_bits()
+            && opts.dt.to_bits() == l.dt.to_bits()
+            && opts.dt_min.to_bits() == l.dt_min.to_bits()
+            && opts.newton == l.newton
+            && opts.dc == l.dc
+            && circuit.unknown_count() == self.n
+            && opts
+                .sensitivities
+                .iter()
+                .all(|p| l.sensitivities.contains(p))
+    }
+
+    /// Whether the ladder was recorded on `circuit` itself (by address).
+    pub(crate) fn recorded_on(&self, circuit: &Circuit) -> bool {
+        std::ptr::from_ref(circuit) as usize == self.circuit
+    }
+
+    /// The last rung whose reach lies strictly before `horizon`, an
+    /// agreement horizon with [`REST_SKEWS`].
+    pub(crate) fn rung_below(&self, horizon: f64) -> Option<usize> {
+        self.rungs
+            .partition_point(|r| r.reach < horizon)
+            .checked_sub(1)
     }
 
     /// The rung `analysis` (inside the resume envelope) may resume from at
     /// `params`, if any: the last one whose reach lies strictly before the
     /// agreement horizon of [`REST_SKEWS`] and `params`.
     fn rung_for(&self, analysis: &TransientAnalysis<'_>, params: &Params) -> Option<usize> {
-        let (o, l) = (&analysis.opts, &self.opts);
-        let same_grid = o.tstop.to_bits() == l.tstop.to_bits()
-            && o.dt.to_bits() == l.dt.to_bits()
-            && o.dt_min.to_bits() == l.dt_min.to_bits()
-            && o.newton == l.newton
-            && o.dc == l.dc;
-        if !same_grid
-            || analysis.circuit.unknown_count() != self.n
-            || !o.sensitivities.iter().all(|p| l.sensitivities.contains(p))
-        {
+        if !self.serves(analysis.circuit, &analysis.opts) {
             return None;
         }
-        let horizon = analysis.circuit.agreement_horizon(&REST_SKEWS, params);
-        self.rungs
-            .partition_point(|r| r.reach < horizon)
-            .checked_sub(1)
+        self.rung_below(analysis.circuit.agreement_horizon(&REST_SKEWS, params))
     }
 
-    /// Initial state of a run resumed from rung `k`: state, time, step,
-    /// prefix times and the requested sensitivities.
-    fn resume_state(
-        &self,
-        k: usize,
-        sensitivities: &[Param],
-    ) -> (Vector, f64, f64, Vec<f64>, Vec<(Param, Vector)>) {
-        let n = self.n;
-        let rung = &self.vectors[k * (1 + self.opts.sensitivities.len()) * n..];
-        let sens = sensitivities
-            .iter()
-            .map(|&p| {
-                // `rung_for` checked that the ladder carries every
-                // requested parameter.
-                let j = self.opts.sensitivities.iter().position(|&q| q == p);
-                let off = (1 + j.unwrap_or(0)) * n;
-                (p, Vector::from_slice(&rung[off..off + n]))
-            })
-            .collect();
-        let Rung { dt, stats, .. } = self.rungs[k];
-        let steps = stats.steps;
-        let mut times = Vec::with_capacity(self.times.len());
-        times.extend_from_slice(&self.times[..=steps]);
-        (
-            Vector::from_slice(&rung[..n]),
-            self.times[steps],
-            dt,
-            times,
-            sens,
-        )
+    /// The scalars of rung `k`.
+    pub(crate) fn rung(&self, k: usize) -> &Rung {
+        &self.rungs[k]
+    }
+
+    /// The state at rung `k`.
+    pub(crate) fn rung_state(&self, k: usize) -> &[f64] {
+        let off = k * (1 + self.opts.sensitivities.len()) * self.n;
+        &self.vectors[off..off + self.n]
+    }
+
+    /// The sensitivity `∂x/∂param` at rung `k`. [`PrefixLadder::serves`]
+    /// checked that the ladder carries `param`.
+    pub(crate) fn rung_sensitivity(&self, k: usize, param: Param) -> &[f64] {
+        let j = self.opts.sensitivities.iter().position(|&q| q == param);
+        let off = (k * (1 + self.opts.sensitivities.len()) + 1 + j.unwrap_or(0)) * self.n;
+        &self.vectors[off..off + self.n]
     }
 }
 
@@ -738,16 +749,37 @@ impl<'a> TransientAnalysis<'a> {
         scratch: &mut TransientScratch,
     ) -> Result<TransientResult> {
         let start = self
-            .prefix
-            .filter(|_| self.supports_prefix())
-            .and_then(|cache| {
-                let ladder = cache.ladder.get_or_init(|| self.record(scratch));
-                let ladder = ladder.as_ref()?;
+            .ladder_in(Some(scratch))
+            .and_then(|ladder| {
                 let rung = ladder.rung_for(self, params)?;
                 Some(Ladder::Resume { ladder, rung })
             })
             .unwrap_or(Ladder::None);
         self.run_observed(params, scratch, start)
+    }
+
+    /// The bound [`PrefixCache`]'s ladder, for runs of this analysis to
+    /// resume from; it is recorded here on first use. `None` without a
+    /// bound cache, outside the resume envelope (see
+    /// [`TransientAnalysis::run_with_scratch`]) or when the recording
+    /// failed. Lockstep batches over this circuit and options take their
+    /// start from it ([`crate::batch::run_lockstep`]).
+    // lint: allow(panic-reachability, reason = "it runs the recording transient, whose panic sites are those of TransientAnalysis::run")
+    pub fn prefix_ladder(&self) -> Option<&'a PrefixLadder> {
+        self.ladder_in(None)
+    }
+
+    /// [`TransientAnalysis::prefix_ladder`], recording in `scratch` when
+    /// one is at hand (a fresh one otherwise).
+    fn ladder_in(&self, scratch: Option<&mut TransientScratch>) -> Option<&'a PrefixLadder> {
+        let cache = self.prefix.filter(|_| self.supports_prefix())?;
+        cache
+            .ladder
+            .get_or_init(|| match scratch {
+                Some(scratch) => self.record(scratch),
+                None => self.record(&mut TransientScratch::new(self.circuit.unknown_count())),
+            })
+            .as_ref()
     }
 
     /// Whether this analysis may record or resume from a prefix ladder.
@@ -769,17 +801,15 @@ impl<'a> TransientAnalysis<'a> {
     /// real simulation: it counts as one
     /// [`shc_obs::Metric::TransientRuns`]. `None` when it fails.
     fn record(&self, scratch: &mut TransientScratch) -> Option<PrefixLadder> {
-        let n = self.circuit.unknown_count();
         let opts = TransientOptions {
             sensitivities: Param::ALL.to_vec(),
             ..self.opts.clone()
         };
         let recorder = TransientAnalysis::new(self.circuit, opts);
-        let mut ladder = PrefixLadder::sized(recorder.opts.clone(), n);
-        let res = recorder
+        let mut ladder = PrefixLadder::sized(self.circuit, recorder.opts.clone());
+        recorder
             .run_observed(&REST_SKEWS, scratch, Ladder::Record(&mut ladder))
             .ok()?;
-        ladder.times = res.times;
         ladder.shrink_to_fit();
         Some(ladder)
     }
@@ -868,9 +898,9 @@ impl<'a> TransientAnalysis<'a> {
     ///
     /// `ladder` only selects the initial state and, when recording, adds
     /// a rung write after every [`RUNG_STRIDE`]-th accepted step. A
-    /// resumed run takes `x`, the sensitivities, `t`, `dt` and the prefix
-    /// times from its rung (`stats` arrives holding the rung's counters)
-    /// and skips the DC solve; everything else is the full run's code.
+    /// resumed run takes `x`, the sensitivities, `t` and `dt` from its
+    /// rung (`stats` arrives holding the rung's counters) and skips the
+    /// DC solve; everything else is the full run's code.
     fn run_core(
         &self,
         params: &Params,
@@ -884,8 +914,16 @@ impl<'a> TransientAnalysis<'a> {
         scratch.ensure(n);
         scratch.configure_solver(circuit, params, opts.solver)?;
 
-        let (x0, t0, dt0, mut times, mut sens) = match &ladder {
-            Ladder::Resume { ladder, rung } => ladder.resume_state(*rung, &opts.sensitivities),
+        let (x0, t0, dt0, mut sens) = match &ladder {
+            Ladder::Resume { ladder, rung } => {
+                let sens = opts
+                    .sensitivities
+                    .iter()
+                    .map(|&p| (p, Vector::from_slice(ladder.rung_sensitivity(*rung, p))))
+                    .collect();
+                let Rung { t, dt, .. } = *ladder.rung(*rung);
+                (Vector::from_slice(ladder.rung_state(*rung)), t, dt, sens)
+            }
             Ladder::None | Ladder::Record(_) => {
                 let x0 = match &opts.initial {
                     InitialCondition::DcOperatingPoint => {
@@ -910,10 +948,12 @@ impl<'a> TransientAnalysis<'a> {
                     .iter()
                     .map(|&p| (p, Vector::zeros(n)))
                     .collect();
-                (x0, 0.0, opts.dt.min(opts.tstop), vec![0.0], sens)
+                (x0, 0.0, opts.dt.min(opts.tstop), sens)
             }
         };
 
+        // Final-only runs keep no history, step times included.
+        let mut times = Vec::new();
         let mut states = Vec::new();
         let mut probe = Vec::new();
         let probe_index = match opts.record {
@@ -921,8 +961,14 @@ impl<'a> TransientAnalysis<'a> {
             _ => None,
         };
         match opts.record {
-            RecordMode::Full => states.push(x0.clone()),
-            RecordMode::Probe(i) => probe.push(x0[i]),
+            RecordMode::Full => {
+                times.push(t0);
+                states.push(x0.clone());
+            }
+            RecordMode::Probe(i) => {
+                times.push(t0);
+                probe.push(x0[i]);
+            }
             RecordMode::FinalOnly => {}
         }
 
@@ -1153,10 +1199,15 @@ impl<'a> TransientAnalysis<'a> {
             lap_step.bump(LAP_SENS, 1, sens.len() as u64);
 
             stats.steps += 1;
-            times.push(t_new);
             match opts.record {
-                RecordMode::Full => states.push(x_new.clone()),
-                RecordMode::Probe(i) => probe.push(x_new[i]),
+                RecordMode::Full => {
+                    times.push(t_new);
+                    states.push(x_new.clone());
+                }
+                RecordMode::Probe(i) => {
+                    times.push(t_new);
+                    probe.push(x_new[i]);
+                }
                 RecordMode::FinalOnly => {}
             }
 
@@ -1175,6 +1226,7 @@ impl<'a> TransientAnalysis<'a> {
             if let Ladder::Record(rec) = &mut ladder {
                 if stats.steps.is_multiple_of(RUNG_STRIDE) {
                     let rung = Rung {
+                        t: t_prev,
                         reach,
                         dt,
                         stats: *stats,

@@ -1,12 +1,13 @@
-//! Prefix reuse must be invisible in the results. Every scalar `h`
-//! evaluation resumes from the problem's data-at-rest prefix ladder when it
-//! can; these tests require `evaluate`/`evaluate_with_jacobian` to stay
-//! bitwise equal (h, both derivatives, step counters) to a direct
-//! `TransientAnalysis::run` with the same options, on generated and
-//! adversarial skews, and require the paths outside the resume envelope
-//! (TRAP, sparse solves, fault injection) never to resume.
+//! Prefix reuse must be invisible in the results. Every `h` evaluation,
+//! scalar or lockstep batch, resumes from the problem's data-at-rest prefix
+//! ladder when it can; these tests require `evaluate`,
+//! `evaluate_with_jacobian` and `evaluate_batch` to stay bitwise equal (h,
+//! both derivatives, step counters) to a direct `TransientAnalysis::run`
+//! with the same options, on generated and adversarial skews, and require
+//! the paths outside the resume envelope (TRAP, sparse solves, fault
+//! injection, lockstep lanes over different circuits) never to resume.
 //!
-//! The property test draws from the vendored proptest's per-test seed; a
+//! The property tests draw from the vendored proptest's per-test seed; a
 //! failure names the case and the skews, which reproduce it exactly.
 
 use std::sync::OnceLock;
@@ -17,7 +18,7 @@ use shc::cells::{
     c2mos_register_with, tg_register_with, tspc_register_with, ClockSpec, Technology,
     C2MOS_CLKB_SKEW,
 };
-use shc::core::{CharacterizationProblem, HEvaluation};
+use shc::core::{mpnr, BatchPolicy, CharacterizationProblem, HEvaluation, MpnrOptions};
 use shc::fault::{FaultKind, FaultPlan, Injector, Site};
 use shc::obs::{Collector, Metric};
 use shc::spice::transient::{
@@ -28,6 +29,15 @@ use shc::spice::waveform::{Param, Params};
 use shc::spice::SolverChoice;
 
 fn build(cell: &str, integrator: Integrator, solver: SolverChoice) -> CharacterizationProblem {
+    build_with(cell, integrator, solver, BatchPolicy::Auto)
+}
+
+fn build_with(
+    cell: &str,
+    integrator: Integrator,
+    solver: SolverChoice,
+    batch: BatchPolicy,
+) -> CharacterizationProblem {
     let tech = Technology::default_250nm();
     let register = match cell {
         "tspc" => tspc_register_with(&tech, ClockSpec::fast()),
@@ -37,6 +47,7 @@ fn build(cell: &str, integrator: Integrator, solver: SolverChoice) -> Characteri
     CharacterizationProblem::builder(register)
         .integrator(integrator)
         .solver(solver)
+        .batch(batch)
         .build()
         .expect("problem builds")
 }
@@ -121,6 +132,32 @@ fn assert_identical(cell: &str, problem: &CharacterizationProblem, p: &Params) {
     );
 }
 
+/// `evaluate_batch` over `points` (one lockstep group) must equal direct
+/// full runs bitwise, point for point. Returns the group's
+/// `(PrefixResumes, PrefixStepsSkipped)`.
+fn assert_batch_identical(
+    cell: &str,
+    problem: &CharacterizationProblem,
+    points: &[Params],
+) -> (u64, u64) {
+    let mut batched = None;
+    let counts = resumes_in(|| {
+        batched = Some(
+            problem
+                .evaluate_batch(points)
+                .map(|hs| hs.iter().map(|h| h.to_bits()).collect::<Vec<_>>())
+                .map_err(|e| e.to_string()),
+        );
+    });
+    let direct: Result<Vec<u64>, String> = points.iter().map(|p| direct_h(problem, p)).collect();
+    assert_eq!(
+        batched.expect("ran"),
+        direct,
+        "{cell} at {points:?}: evaluate_batch differs from the full runs"
+    );
+    counts
+}
+
 /// Runs `f` under a fresh collector and returns its snapshot counters
 /// `(PrefixResumes, PrefixStepsSkipped)`.
 fn resumes_in(f: impl FnOnce()) -> (u64, u64) {
@@ -160,6 +197,134 @@ proptest! {
                 "{cell} at {p:?} (s = {s}, h = {h}): evaluate differs"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Generated lane groups as a surface sweep chunks its row-major grid:
+    /// five hold skews on one setup row, or the tail of one row and the
+    /// head of the next. Every group must start from a rung.
+    #[test]
+    fn batches_match_direct_runs_bitwise(
+        s in 0.4..1.6f64,
+        next in 0.4..1.6f64,
+        hs in prop::collection::vec(-0.6..1.6f64, 5),
+        split in 1..6usize,
+    ) {
+        for (cell, problem) in problems() {
+            let r = problem.reference_params();
+            let points: Vec<Params> = hs
+                .iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    let row = if i < split { s } else { next };
+                    Params::new(row * r.tau_s, h * r.tau_h)
+                })
+                .collect();
+            let (resumes, _) = assert_batch_identical(cell, problem, &points);
+            prop_assert!(
+                resumes == points.len() as u64,
+                "{cell} at {points:?} (s = {s}, next = {next}, split = {split}): {resumes} resumes"
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_lanes_with_non_finite_skews_start_from_dc() {
+    for (cell, problem) in problems() {
+        let r = problem.reference_params();
+        for bad in [
+            Params::new(f64::NAN, r.tau_h),
+            Params::new(r.tau_s, f64::INFINITY),
+        ] {
+            let points = [r, bad, Params::new(0.8 * r.tau_s, r.tau_h)];
+            let (resumes, _) = assert_batch_identical(cell, problem, &points);
+            assert_eq!(resumes, 0, "{cell} at {points:?} resumed");
+        }
+    }
+}
+
+#[test]
+fn batches_resume_from_the_rung_below_the_earliest_lane_horizon() {
+    for (cell, problem) in problems() {
+        let cache = recorded(problem);
+        let ladder = cache.ladder().expect("recorded");
+        let r = problem.reference_params();
+
+        // The earliest lane's horizon lies exactly on a rung: the batch
+        // starts from the rung below it, every lane alike.
+        let k = ladder.rungs() / 2;
+        let t_k = ladder.rung_time(k).expect("rung exists");
+        let (on, exact) = setup_with_horizon(problem, t_k, 0.5e-9);
+        assert!(exact, "{cell}: no setup skew puts the horizon on {t_k:e}");
+        let points = [r, on, Params::new(on.tau_s, r.tau_h)];
+        let (resumes, skipped) = assert_batch_identical(cell, problem, &points);
+        let rung = ladder.rung_steps(k - 1).expect("rung exists") as u64;
+        assert_eq!((resumes, skipped), (3, 3 * rung), "{cell}");
+
+        // A lane whose horizon is at or before the first rung keeps the
+        // whole group at the DC start.
+        let t0 = ladder.rung_time(0).expect("rung exists");
+        for t in [t0, 0.5 * t0] {
+            let (early, _) = setup_with_horizon(problem, t, 0.5e-9);
+            let points = [r, early];
+            let (resumes, _) = assert_batch_identical(cell, problem, &points);
+            assert_eq!(resumes, 0, "{cell} at {points:?} resumed");
+        }
+    }
+}
+
+#[test]
+fn injected_batches_and_lockstep_mpnr_lanes_never_resume() {
+    // `BatchPolicy::Batched` batches under an injector (one that never
+    // fires, so the outputs stay comparable); a warm ladder must go
+    // unused there.
+    let problem = build_with(
+        "tspc",
+        Integrator::BackwardEuler,
+        SolverChoice::Auto,
+        BatchPolicy::Batched,
+    );
+    let r = problem.reference_params();
+    problem.evaluate(&r).expect("evaluates");
+    assert_eq!(problem.calibration_simulations(), 2, "ladder recorded");
+    let injector = Injector::new(FaultPlan {
+        probability: 0.0,
+        site: None,
+        kind: FaultKind::NonConvergence,
+        seed: 3,
+    });
+    let points = [r, Params::new(0.9 * r.tau_s, r.tau_h)];
+    let (resumes, _) = {
+        let _faults = shc::fault::install_scoped(&injector);
+        assert_batch_identical("tspc", &problem, &points)
+    };
+    assert_eq!(resumes, 0, "injected batch resumed");
+
+    // Lockstep MPNR lanes run whatever circuits their problems hold, so
+    // they start from DC even when every lane's problem holds a ladder;
+    // each lane still equals the scalar solve bitwise.
+    let lanes = [&problem, &problem];
+    let initials = [r, Params::new(0.9 * r.tau_s, 1.1 * r.tau_h)];
+    let opts = MpnrOptions::default();
+    let mut batched = Vec::new();
+    let (resumes, _) = resumes_in(|| {
+        batched = mpnr::solve_batch(&lanes, &initials, &opts, BatchPolicy::Batched);
+    });
+    assert_eq!(resumes, 0, "lockstep MPNR lanes resumed");
+    for (lane, initial) in batched.iter().zip(initials) {
+        let scalar = mpnr::solve(&problem, initial, &opts);
+        let bits = |res: &shc::core::MpnrResult| {
+            [res.params.tau_s, res.params.tau_h, res.residual].map(f64::to_bits)
+        };
+        assert_eq!(
+            lane.as_ref().map(bits).map_err(|e| e.to_string()),
+            scalar.as_ref().map(bits).map_err(|e| e.to_string()),
+            "lockstep MPNR lane from {initial:?} differs from the scalar solve"
+        );
     }
 }
 

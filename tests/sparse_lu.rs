@@ -8,9 +8,9 @@ use shc::cells::{
     ClockSpec, Register, Technology,
 };
 use shc::core::CharacterizationProblem;
-use shc::linalg::{CsrMatrix, LinalgError, SparseLu, Vector};
+use shc::linalg::{CsrMatrix, LinalgError, Matrix, SparseLu, Vector};
 use shc::spice::waveform::Params;
-use shc::spice::{Circuit, SolverChoice};
+use shc::spice::SolverChoice;
 
 fn zoo(tech: &Technology) -> Vec<Register> {
     let clock = ClockSpec::fast();
@@ -33,6 +33,13 @@ fn bias(n: usize, vdd: f64) -> Vector {
         .collect()
 }
 
+/// The implicit-step Jacobian `C·a + G`.
+fn step_jacobian(c: &Matrix, g: &Matrix, a: f64) -> Matrix {
+    let mut j = c.scale(a);
+    j.axpy(1.0, g).expect("C and G share the MNA shape");
+    j
+}
+
 #[test]
 fn sparse_lu_matches_dense_lu_on_every_cell_jacobian() {
     let tech = Technology::default_250nm();
@@ -44,8 +51,7 @@ fn sparse_lu_matches_dense_lu_on_every_cell_jacobian() {
         let x = bias(n, tech.vdd);
         let stamps = circuit.assemble(&x, 1e-9, &params, 1.0);
         let dt = 4e-12;
-        let jac = Circuit::combine_jacobian(&stamps.c, &stamps.g, 1.0 / dt)
-            .expect("C and G share the MNA shape");
+        let jac = step_jacobian(&stamps.c, &stamps.g, 1.0 / dt);
 
         let rhs: Vector = (0..n).map(|i| 1e-3 * ((i % 11) as f64 - 5.0)).collect();
         let dense = jac
@@ -63,8 +69,7 @@ fn sparse_lu_matches_dense_lu_on_every_cell_jacobian() {
         assert!(dev < 1e-12, "{name}: sparse vs dense deviation {dev:.2e}");
 
         // Value-only refactor at a different step size must track too.
-        let jac2 = Circuit::combine_jacobian(&stamps.c, &stamps.g, 1.0 / (4.0 * dt))
-            .expect("C and G share the MNA shape");
+        let jac2 = step_jacobian(&stamps.c, &stamps.g, 1.0 / (4.0 * dt));
         let csr2 = CsrMatrix::from_dense(&jac2, 0.0).expect("csr conversion");
         lu.refactor(&csr2)
             .unwrap_or_else(|e| panic!("{name}: refactor: {e}"));

@@ -71,7 +71,8 @@ fn ladder_jacobian_sparse_direct_and_dense_agree() {
     let x = Vector::filled(n, 0.5);
     let stamps = circuit.assemble(&x, 0.0, &Params::default(), 1.0);
     let dt = 1e-12;
-    let jac = Circuit::combine_jacobian(&stamps.c, &stamps.g, 1.0 / dt)
+    let mut jac = stamps.c.scale(1.0 / dt);
+    jac.axpy(1.0, &stamps.g)
         .expect("C and G share the MNA shape");
 
     let rhs: Vector = (0..n).map(|i| ((i % 7) as f64 - 3.0) * 1e-4).collect();
@@ -105,7 +106,8 @@ fn ladder_jacobian_sparse_direct_and_dense_agree() {
 
     // Value-only refactor at a different step size must track the dense
     // solve just as closely.
-    let jac2 = Circuit::combine_jacobian(&stamps.c, &stamps.g, 1.0 / (2.0 * dt))
+    let mut jac2 = stamps.c.scale(1.0 / (2.0 * dt));
+    jac2.axpy(1.0, &stamps.g)
         .expect("C and G share the MNA shape");
     let sparse2 = CsrMatrix::from_dense(&jac2, 0.0).expect("sparse conversion");
     lu.refactor(&sparse2).expect("refactor");
