@@ -16,10 +16,10 @@
 //! (`0` = all CPUs, `1` = serial, the default); the section also writes
 //! `BENCH_parallel.json` to the repository root.
 //!
-//! `--batch auto|scalar|batched` picks the batched-engine policy for every
-//! characterization problem (default `auto`: serial sweeps of supported
-//! circuits run lanes in lockstep; `scalar` forces the per-simulation
-//! path, `batched` asserts the lockstep path engages).
+//! `--batch auto|scalar|batched` picks the batched-engine policy for the
+//! surface sweeps, the only sweeps it governs (default `auto`: serial
+//! sweeps of supported circuits run lanes in lockstep; `scalar` forces
+//! the per-simulation path, `batched` asserts the lockstep path engages).
 //!
 //! `--journal <path>` records every traced contour point as one JSONL
 //! event; `--metrics <path>` dumps end-of-run solver counters, histograms,

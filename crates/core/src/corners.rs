@@ -49,16 +49,10 @@ pub struct SweepOptions {
     pub seed: SeedOptions,
     /// MPNR settings for warm-start polishing.
     pub mpnr: MpnrOptions,
-    /// Thread count for corners 1.., which run in lane groups fanned over
-    /// the threads after the first corner. Results do not depend on it.
+    /// Thread count for corners 1.., which fan out over the threads after
+    /// the first corner. Results do not depend on it.
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// Batched-engine policy: each lane group of corners polishes its warm
-    /// starts through one lockstep batched transient per MPNR iteration,
-    /// one corner per group when the policy cannot batch. Results do not
-    /// depend on it.
-    #[serde(default)]
-    pub batch: BatchPolicy,
 }
 
 impl Default for SweepOptions {
@@ -69,7 +63,6 @@ impl Default for SweepOptions {
             seed: SeedOptions::default(),
             mpnr: MpnrOptions::default(),
             parallelism: Parallelism::default(),
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -78,12 +71,10 @@ impl Default for SweepOptions {
 ///
 /// The first corner is seeded cold; its first contour point anchors an
 /// MPNR warm start for every remaining corner (a corner whose polish fails
-/// falls back to cold seeding). The remaining corners run in lane groups
-/// fanned over [`SweepOptions::parallelism`] threads, each group polishing
-/// its warm starts through one lockstep batched transient per MPNR
-/// iteration under [`SweepOptions::batch`]; contour tracing stays
-/// per-corner. Results are returned in input order and are identical for
-/// every thread count and batch policy.
+/// falls back to cold seeding). The remaining corners fan out over
+/// [`SweepOptions::parallelism`] threads, one corner per job: polish, then
+/// trace. Results are returned in input order and are identical for every
+/// thread count.
 ///
 /// `corners` yields `(label, register)` pairs — typically the same cell
 /// rebuilt with shifted [`shc_cells::Technology`] parameters.
@@ -122,31 +113,26 @@ pub fn sweep(
     let Some((label, register)) = rest.next() else {
         return Ok(Vec::new());
     };
-    let problem = build_corner(register, opts)?;
+    let problem = build_corner(register)?;
     let first = seed::find_first_point(&problem, &opts.seed)?.params;
     let mut results = vec![finish_corner(label, &problem, first, false, opts)?];
+    // Corners polish and trace on the scalar engine, so each is its own
+    // group.
     results.extend(parallel::run_groups(
         opts.parallelism,
-        opts.batch,
+        BatchPolicy::Scalar,
         rest.collect(),
         |group| {
-            let mut labels = Vec::with_capacity(group.len());
-            let mut problems = Vec::with_capacity(group.len());
-            for (label, register) in group {
-                labels.push(label);
-                problems.push(build_corner(register, opts)?);
-            }
-            let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
-            let warm = mpnr::solve_batch(&refs, &vec![first; refs.len()], &opts.mpnr, opts.batch);
-            labels
+            group
                 .into_iter()
-                .zip(&problems)
-                .zip(warm)
-                .map(|((label, problem), solved)| match solved {
-                    Ok(polished) => finish_corner(label, problem, polished.params, true, opts),
-                    Err(_) => {
-                        let cold = seed::find_first_point(problem, &opts.seed)?;
-                        finish_corner(label, problem, cold.params, false, opts)
+                .map(|(label, register)| {
+                    let problem = build_corner(register)?;
+                    match mpnr::solve(&problem, first, &opts.mpnr) {
+                        Ok(polished) => finish_corner(label, &problem, polished.params, true, opts),
+                        Err(_) => {
+                            let cold = seed::find_first_point(&problem, &opts.seed)?;
+                            finish_corner(label, &problem, cold.params, false, opts)
+                        }
                     }
                 })
                 .collect()
@@ -155,11 +141,9 @@ pub fn sweep(
     Ok(results)
 }
 
-/// Builds one corner's problem with the sweep's batch policy.
-fn build_corner(register: Register, opts: &SweepOptions) -> Result<CharacterizationProblem> {
-    let problem = CharacterizationProblem::builder(register)
-        .batch(opts.batch)
-        .build()?;
+/// Builds one corner's problem.
+fn build_corner(register: Register) -> Result<CharacterizationProblem> {
+    let problem = CharacterizationProblem::builder(register).build()?;
     problem.reset_simulation_count();
     Ok(problem)
 }

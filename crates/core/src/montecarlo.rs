@@ -110,12 +110,6 @@ pub struct MonteCarloOptions {
     /// sample draws from its own index-derived RNG stream.
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// Batched-engine policy: warm-started samples advance their MPNR
-    /// solves in lockstep lane groups ([`mpnr::solve_batch`]) fanned over
-    /// the threads, one sample per group when the policy cannot batch.
-    /// Results are sample for sample identical under every policy.
-    #[serde(default)]
-    pub batch: BatchPolicy,
 }
 
 impl Default for MonteCarloOptions {
@@ -127,7 +121,6 @@ impl Default for MonteCarloOptions {
             seed: SeedOptions::default(),
             mpnr: MpnrOptions::default(),
             parallelism: Parallelism::default(),
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -155,9 +148,7 @@ where
 {
     let mut rng = StdRng::seed_from_u64(sample_seed(opts.rng_seed, index as u64));
     let tech = opts.variation.sample(base, &mut rng);
-    let problem = CharacterizationProblem::builder(build(&tech))
-        .batch(opts.batch)
-        .build()?;
+    let problem = CharacterizationProblem::builder(build(&tech)).build()?;
     problem.reset_simulation_count();
     Ok(problem)
 }
@@ -184,8 +175,8 @@ fn sample_result(
 /// Sample 0 is always solved first, from a cold seed; it anchors the MPNR
 /// warm start for every later sample. Each sample draws its technology from
 /// an RNG derived from `(rng_seed, index)`, so samples are independent of
-/// execution order: every `opts.parallelism` and `opts.batch` gives the
-/// same samples for the same seed.
+/// execution order: every `opts.parallelism` gives the same samples for
+/// the same seed.
 ///
 /// `build` constructs the register for a sampled technology (e.g.
 /// `|tech| tspc_register_with(tech, clock)`); it must be `Sync` so samples
@@ -210,31 +201,23 @@ where
         let point = seed::find_first_point(&problem, &opts.seed)?;
         let anchor = point.params;
         results.push(sample_result(0, &problem, &point));
-        // Each lane group builds its samples' problems, polishes the anchor
-        // onto each in one lockstep MPNR solve, and seeds cold any lane
-        // whose polish fails.
+        // Samples polish on the scalar engine, so each is its own group:
+        // it builds its problem, polishes the anchor onto it with one MPNR
+        // solve, and seeds cold when the polish fails.
         results.extend(parallel::run_groups(
             opts.parallelism,
-            opts.batch,
+            BatchPolicy::Scalar,
             (1..opts.samples).collect(),
             |group| {
-                let problems: Vec<CharacterizationProblem> = group
-                    .iter()
-                    .map(|&index| build_sample_problem(base, &build, opts, index))
-                    .collect::<Result<_>>()?;
-                let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
-                let warm =
-                    mpnr::solve_batch(&refs, &vec![anchor; refs.len()], &opts.mpnr, opts.batch);
                 group
                     .into_iter()
-                    .zip(&problems)
-                    .zip(warm)
-                    .map(|((index, problem), solved)| -> Result<SampleResult> {
-                        let point = match solved {
+                    .map(|index| -> Result<SampleResult> {
+                        let problem = build_sample_problem(base, &build, opts, index)?;
+                        let point = match mpnr::solve(&problem, anchor, &opts.mpnr) {
                             Ok(p) => p,
-                            Err(_) => seed::find_first_point(problem, &opts.seed)?,
+                            Err(_) => seed::find_first_point(&problem, &opts.seed)?,
                         };
-                        Ok(sample_result(index, problem, &point))
+                        Ok(sample_result(index, &problem, &point))
                     })
                     .collect()
             },

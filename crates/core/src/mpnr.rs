@@ -8,11 +8,9 @@
 //! *nearest* the initial guess (paper Fig. 4).
 
 use serde::{Deserialize, Serialize};
-use shc_spice::batch::BatchPolicy;
 use shc_spice::transient::TransientStats;
 use shc_spice::waveform::Params;
 
-use crate::problem::{evaluate_jacobian_lockstep, lockstep_compatible};
 use crate::{CharError, CharacterizationProblem, Result};
 
 /// How far the hold-side bracket search may wander from the predicted
@@ -137,146 +135,6 @@ pub fn solve(
         iterations: opts.max_iters,
         h_value: last_h,
     })
-}
-
-/// Per-lane state of a lockstep MPNR batch.
-struct BatchSolveLane {
-    tau: Params,
-    last_h: f64,
-    transient: TransientStats,
-    done: Option<Result<MpnrResult>>,
-}
-
-/// Solves `h = 0` by MPNR for many `(problem, initial guess)` lanes in
-/// lockstep: each outer iteration evaluates every still-active lane's `h`
-/// and Jacobian through one batched transient carrying forward
-/// sensitivities (the lanes may belong to different problems), then
-/// applies the scalar update rule per lane.
-/// Lanes may carry *different* problems — e.g. one per Monte Carlo sample
-/// or PVT corner — as long as they share the circuit dimension and solver
-/// settings; a converged or failed lane simply stops being evaluated.
-///
-/// Per lane, the returned `Result<MpnrResult>` is bitwise identical to
-/// [`solve`] on that lane alone: the update trajectory depends only on the
-/// lane's own evaluations, which the lockstep engine reproduces exactly.
-/// When `policy` declines (scalar policy, lane floor, fault injector under
-/// [`BatchPolicy::Auto`], out-of-envelope configuration) or the lanes are
-/// not lockstep-compatible, every lane runs through the scalar [`solve`].
-///
-/// # Panics
-///
-/// Panics if `problems` and `initials` differ in length.
-pub fn solve_batch(
-    problems: &[&CharacterizationProblem],
-    initials: &[Params],
-    opts: &MpnrOptions,
-    policy: BatchPolicy,
-) -> Vec<Result<MpnrResult>> {
-    assert_eq!(
-        problems.len(),
-        initials.len(),
-        "one initial guess per problem lane"
-    );
-    if !lockstep_compatible(problems, policy) {
-        return problems
-            .iter()
-            .zip(initials)
-            .map(|(problem, &initial)| solve(problem, initial, opts))
-            .collect();
-    }
-
-    let _span = shc_obs::span(shc_obs::SpanKind::MpnrSolve);
-    let _frame = shc_prof::enter(shc_prof::Phase::CorrectorOverhead);
-    shc_obs::count(shc_obs::Metric::MpnrSolves, problems.len() as u64);
-    let mut lanes: Vec<BatchSolveLane> = initials
-        .iter()
-        .map(|&initial| BatchSolveLane {
-            tau: initial,
-            last_h: f64::INFINITY,
-            transient: TransientStats::default(),
-            done: match injected_fault(initial) {
-                Some(e) => {
-                    shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
-                    Some(Err(e))
-                }
-                None => None,
-            },
-        })
-        .collect();
-
-    let mut eval_lanes: Vec<(&CharacterizationProblem, Params)> =
-        Vec::with_capacity(problems.len());
-    let mut active: Vec<usize> = Vec::with_capacity(problems.len());
-    for iter in 1..=opts.max_iters {
-        eval_lanes.clear();
-        active.clear();
-        for (l, lane) in lanes.iter().enumerate() {
-            if lane.done.is_none() {
-                eval_lanes.push((problems[l], lane.tau));
-                active.push(l);
-            }
-        }
-        if active.is_empty() {
-            break;
-        }
-        shc_prof::add_work(active.len() as u64);
-        let evaluations = evaluate_jacobian_lockstep(&eval_lanes);
-        for (&l, evaluation) in active.iter().zip(evaluations) {
-            let lane = &mut lanes[l];
-            let ev = match evaluation {
-                Ok(ev) => ev,
-                Err(e) => {
-                    lane.done = Some(Err(e));
-                    continue;
-                }
-            };
-            lane.transient.steps += ev.stats.steps;
-            lane.transient.newton_iterations += ev.stats.newton_iterations;
-            lane.transient.rejected_steps += ev.stats.rejected_steps;
-            lane.last_h = ev.h.abs();
-            let Some((mut ds, mut dh)) = ev.mpnr_step() else {
-                shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
-                lane.done = Some(Err(CharError::VanishingJacobian {
-                    tau_s: lane.tau.tau_s,
-                    tau_h: lane.tau.tau_h,
-                }));
-                continue;
-            };
-            let step_len = (ds * ds + dh * dh).sqrt();
-            if step_len > opts.max_step {
-                let scale = opts.max_step / step_len;
-                ds *= scale;
-                dh *= scale;
-            }
-            lane.tau = Params::new(lane.tau.tau_s + ds, lane.tau.tau_h + dh);
-
-            let tol_s = opts.reltol * lane.tau.tau_s.abs() + opts.abstol;
-            let tol_h = opts.reltol * lane.tau.tau_h.abs() + opts.abstol;
-            if ds.abs() <= tol_s && dh.abs() <= tol_h {
-                shc_obs::observe(shc_obs::Metric::MpnrIterations, iter as u64);
-                lane.done = Some(Ok(MpnrResult {
-                    params: lane.tau,
-                    iterations: iter,
-                    residual: ev.h.abs(),
-                    jacobian: [ev.dh_dtau_s, ev.dh_dtau_h],
-                    transient: lane.transient,
-                }));
-            }
-        }
-    }
-
-    lanes
-        .into_iter()
-        .map(|lane| {
-            lane.done.unwrap_or_else(|| {
-                shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
-                Err(CharError::MpnrDiverged {
-                    iterations: opts.max_iters,
-                    h_value: lane.last_h,
-                })
-            })
-        })
-        .collect()
 }
 
 /// Consults the ambient fault injector for the MPNR site (no-op unless a

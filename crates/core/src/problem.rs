@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use shc_cells::{OutputTransition, Register};
-use shc_spice::batch::{run_lockstep, BatchLane, BatchPolicy};
+use shc_spice::batch::{run_lockstep, BatchPolicy};
 use shc_spice::transient::{
     CrossingDirection, Integrator, PrefixCache, RecordMode, TransientAnalysis, TransientOptions,
     TransientStats,
@@ -225,7 +225,23 @@ impl CharacterizationProblem {
         let res = TransientAnalysis::new(self.register.circuit(), self.transient_options(true))
             .with_prefix(&self.prefix)
             .run(params)?;
-        self.jacobian_evaluation(&res)
+        let out = self.register.output_unknown();
+        let ms = res
+            .final_sensitivity(Param::Setup)
+            .ok_or(CharError::Internal {
+                reason: "transient ran with sensitivities on but returned no setup sensitivity",
+            })?;
+        let mh = res
+            .final_sensitivity(Param::Hold)
+            .ok_or(CharError::Internal {
+                reason: "transient ran with sensitivities on but returned no hold sensitivity",
+            })?;
+        Ok(HEvaluation {
+            h: res.final_state()[out] - self.r,
+            dh_dtau_s: ms[out],
+            dh_dtau_h: mh[out],
+            stats: *res.stats(),
+        })
     }
 
     /// Evaluates `h(τs, τh)` at many skew points with one lockstep batch
@@ -249,48 +265,16 @@ impl CharacterizationProblem {
             return params.iter().map(|p| self.evaluate(p)).collect();
         }
         self.sim_count.fetch_add(params.len(), Ordering::Relaxed);
-        let lanes: Vec<BatchLane<'_>> = params
-            .iter()
-            .map(|&p| BatchLane {
-                circuit: self.register.circuit(),
-                params: p,
-                tstop: self.tf,
-            })
-            .collect();
+        let circuit = self.register.circuit();
         let out = self.register.output_unknown();
-        let ladder = TransientAnalysis::new(self.register.circuit(), opts.clone())
+        let ladder = TransientAnalysis::new(circuit, opts.clone())
             .with_prefix(&self.prefix)
             .prefix_ladder();
-        run_lockstep(&lanes, &opts, ladder)
+        run_lockstep(circuit, params, &opts, ladder)
             .map_err(CharError::from)?
             .into_iter()
             .map(|lane| Ok(lane?.final_state()[out] - self.r))
             .collect()
-    }
-
-    /// Extracts an [`HEvaluation`] from a finished final-only transient of
-    /// this problem's circuit (shared by the scalar and batched paths).
-    fn jacobian_evaluation(
-        &self,
-        res: &shc_spice::transient::TransientResult,
-    ) -> Result<HEvaluation> {
-        let out = self.register.output_unknown();
-        let ms = res
-            .final_sensitivity(Param::Setup)
-            .ok_or(CharError::Internal {
-                reason: "transient ran with sensitivities on but returned no setup sensitivity",
-            })?;
-        let mh = res
-            .final_sensitivity(Param::Hold)
-            .ok_or(CharError::Internal {
-                reason: "transient ran with sensitivities on but returned no hold sensitivity",
-            })?;
-        Ok(HEvaluation {
-            h: res.final_state()[out] - self.r,
-            dh_dtau_s: ms[out],
-            dh_dtau_h: mh[out],
-            stats: *res.stats(),
-        })
     }
 
     /// Evaluates `h` and its Jacobian via the **discrete adjoint** method
@@ -365,73 +349,6 @@ impl CharacterizationProblem {
     }
 }
 
-/// Whether lockstep evaluation may span all of `problems` at once: the
-/// problems must agree on every option the lanes would share (time step,
-/// integrator, solver, sensitivity set are fixed by construction) and on
-/// the circuit dimension, and the policy must elect batching for this lane
-/// count on the first problem's configuration. Problems built from the
-/// same register factory with the same builder settings always qualify.
-pub(crate) fn lockstep_compatible(
-    problems: &[&CharacterizationProblem],
-    policy: BatchPolicy,
-) -> bool {
-    let Some(first) = problems.first() else {
-        return false;
-    };
-    let n = first.register.circuit().unknown_count();
-    if !problems.iter().all(|p| {
-        p.dt == first.dt
-            && p.integrator == first.integrator
-            && p.solver == first.solver
-            && p.register.circuit().unknown_count() == n
-    }) {
-        return false;
-    }
-    let opts = first.transient_options(true);
-    policy.use_batched(first.register.circuit(), &opts, problems.len())
-}
-
-/// Lockstep evaluation of `h` and its 1×2 Jacobian across *different*
-/// problems: lane `k` evaluates `lanes[k].0` at `lanes[k].1`, each with
-/// its own `t_f` and target level. Callers must have verified
-/// [`lockstep_compatible`] on the involved problems. Per-lane values are
-/// bitwise identical to [`CharacterizationProblem::evaluate_with_jacobian`]
-/// on the same problem; failures are per-lane payload.
-pub(crate) fn evaluate_jacobian_lockstep(
-    lanes: &[(&CharacterizationProblem, Params)],
-) -> Vec<Result<HEvaluation>> {
-    let Some((first, _)) = lanes.first() else {
-        return Vec::new();
-    };
-    let opts = first.transient_options(true);
-    for (problem, _) in lanes {
-        problem.sim_count.fetch_add(1, Ordering::Relaxed);
-    }
-    let batch: Vec<BatchLane<'_>> = lanes
-        .iter()
-        .map(|(problem, params)| BatchLane {
-            circuit: problem.register.circuit(),
-            params: *params,
-            tstop: problem.tf,
-        })
-        .collect();
-    // The lanes run different problems' circuits, so no one ladder serves
-    // them.
-    match run_lockstep(&batch, &opts, None) {
-        Ok(results) => lanes
-            .iter()
-            .zip(results)
-            .map(|((problem, _), lane)| problem.jacobian_evaluation(&lane?))
-            .collect(),
-        // A structural rejection (callers pre-validate, so this is a
-        // defensive arm) fails every lane with the same reason.
-        Err(e) => lanes
-            .iter()
-            .map(|_| Err(CharError::from(e.clone())))
-            .collect(),
-    }
-}
-
 /// Builder for [`CharacterizationProblem`].
 #[derive(Debug)]
 pub struct ProblemBuilder {
@@ -482,10 +399,11 @@ impl ProblemBuilder {
         self
     }
 
-    /// Selects the batched-engine policy for this problem's multi-point
-    /// evaluations ([`CharacterizationProblem::evaluate_batch`] and
-    /// friends). Default [`BatchPolicy::Auto`]: batch inside the supported
-    /// envelope unless a fault injector is installed.
+    /// Selects the batched-engine policy for this problem's surface
+    /// sweeps ([`CharacterizationProblem::evaluate_batch`]), the only
+    /// evaluations the lockstep engine runs. Default [`BatchPolicy::Auto`]:
+    /// batch inside the supported envelope unless a fault injector is
+    /// installed.
     pub fn batch(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self

@@ -78,20 +78,6 @@ impl LuFactor {
         Ok(factor)
     }
 
-    /// The factorization of the `n×n` identity, written down without
-    /// elimination: allocated storage for later [`LuFactor::refactor`]
-    /// calls. Unlike [`LuFactor::new`] it counts no factorization and
-    /// draws no injected fault, so a solver can size its factor up front
-    /// and keep every factorization in its stepping loop a refactor.
-    ///
-    /// effects: alloc
-    pub fn identity(n: usize) -> Self {
-        LuFactor {
-            lu: Matrix::identity(n),
-            perm: (0..n).collect(),
-        }
-    }
-
     /// Re-factors `a` reusing this factor's existing buffers.
     ///
     /// Equivalent to `*self = LuFactor::new(a)?` but allocation-free when
@@ -368,29 +354,6 @@ mod tests {
             x.sub(&fresh).norm_inf() == 0.0,
             "refactor diverged from new"
         );
-    }
-
-    #[test]
-    fn identity_storage_refactors_like_a_fresh_factor() {
-        let plan = shc_fault::FaultPlan {
-            probability: 1.0,
-            site: Some(shc_fault::Site::LuFactor),
-            kind: shc_fault::FaultKind::SingularMatrix,
-            seed: 7,
-        };
-        let injector = shc_fault::Injector::new(plan);
-        let mut lu = {
-            let _guard = shc_fault::install_scoped(&injector);
-            LuFactor::identity(3)
-        };
-        assert_eq!(injector.injected(), 0, "identity storage drew a fault");
-        let b = Vector::from_slice(&[1.0, -2.0, 3.0]);
-        assert_eq!(lu.solve(&b).unwrap(), b);
-
-        let a = Matrix::from_rows(&[&[0.0, 1.0, 2.0], &[3.0, 4.0, 5.0], &[6.0, 8.0, 1.0]]).unwrap();
-        lu.refactor(&a).unwrap();
-        let fresh = LuFactor::new(&a).unwrap().solve(&b).unwrap();
-        assert_eq!(lu.solve(&b).unwrap().as_slice(), fresh.as_slice());
     }
 
     #[test]

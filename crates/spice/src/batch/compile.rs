@@ -18,7 +18,7 @@ use shc_linalg::{lane_dispatch, multiversioned};
 
 use crate::circuit::Circuit;
 use crate::devices::Mosfet;
-use crate::waveform::{Param, Params, Waveform};
+use crate::waveform::{Params, Waveform};
 use crate::Node;
 
 /// Value-level description of one device, as handed over by
@@ -300,23 +300,6 @@ impl CompiledCircuit {
             }
         }
     }
-
-    /// Assembles `∂f/∂p` at `t` into `dfdp` (length `n`), replicating
-    /// [`Circuit::assemble_dfdp_into`] with `source_scale = 1.0`: only
-    /// voltage-source branch equations depend on the skew parameters.
-    // lint: hot-fn
-    // effects: pure
-    pub fn assemble_dfdp(&self, t: f64, params: &Params, param: Param, dfdp: &mut [f64]) {
-        dfdp.fill(0.0);
-        for device in &self.devices {
-            if let CompiledDevice::VoltageSource { br, waveform, .. } = device {
-                let dv = waveform.derivative(t, params, param);
-                if dv != 0.0 {
-                    dfdp[*br] -= dv;
-                }
-            }
-        }
-    }
 }
 
 /// Per-lane MOSFET constants plus resolved buffer offsets for one
@@ -408,8 +391,6 @@ enum SoaDevice {
         rn: usize,
         /// Branch-equation row offset (always a real unknown).
         rbr: usize,
-        /// Raw branch unknown index (for the lane-scalar `∂f/∂p` path).
-        br: usize,
         gpb: usize,
         gnb: usize,
         gbp: usize,
@@ -421,8 +402,8 @@ enum SoaDevice {
     Mosfet(SoaMosfet),
 }
 
-/// `B` structurally identical [`CompiledCircuit`]s merged into one
-/// structure-of-arrays evaluator.
+/// One [`CompiledCircuit`] laid out as a `B`-lane structure-of-arrays
+/// evaluator.
 ///
 /// Where [`CompiledCircuit::assemble`] fills one lane's `n`-vectors and
 /// `n×n` matrices, [`SoaCircuit::assemble_all`] fills *element-major*
@@ -432,11 +413,9 @@ enum SoaDevice {
 /// exact scalar operation sequence on its own values. Lane results are
 /// bitwise identical to per-lane scalar assembly by construction.
 ///
-/// Structural identity means: equal dimension, equal device-variant
-/// sequence, equal resolved node indices per slot, and equal MOSFET
-/// polarity per slot. Parameter *values* (resistances, capacitances,
-/// geometries, waveforms) are free to differ per lane — they become the
-/// per-lane SoA arrays.
+/// Lanes differ only in their state, time and skews; the device values
+/// (resistances, capacitances, geometries, waveforms) are repeated in
+/// per-lane SoA arrays, the layout the assembly kernel reads.
 #[derive(Debug, Clone)]
 pub struct SoaCircuit {
     devices: Vec<SoaDevice>,
@@ -520,7 +499,6 @@ fn assemble_impl(
                     rp,
                     rn,
                     rbr,
-                    br: _,
                     gpb,
                     gnb,
                     gbp,
@@ -649,18 +627,10 @@ fn assemble_impl(
 }
 
 impl SoaCircuit {
-    /// Merges structurally identical compiled lanes, or returns `None` on
-    /// any structural mismatch (dimension, device sequence, node indices,
-    /// or MOSFET polarity) — the caller then splits the batch.
-    pub fn merge(compiled: &[CompiledCircuit]) -> Option<SoaCircuit> {
-        let first = compiled.first()?;
-        let (n, b) = (first.n, compiled.len());
-        if compiled
-            .iter()
-            .any(|c| c.n != n || c.devices.len() != first.devices.len())
-        {
-            return None;
-        }
+    /// Lays `compiled` out for `lanes` lanes: the shared structure once,
+    /// its values repeated per lane.
+    pub fn new(compiled: &CompiledCircuit, lanes: usize) -> SoaCircuit {
+        let (n, b) = (compiled.n, lanes);
         // Ground rows/cells resolve to the spill slots at the end of each
         // buffer (see `assemble_all`); offsets are pre-multiplied by the
         // lane count so the kernel indexes `offset + lane` directly.
@@ -671,94 +641,60 @@ impl SoaCircuit {
         };
         let pair =
             |a: Option<usize>, p: Option<usize>| [cell(a, a), cell(p, p), cell(a, p), cell(p, a)];
-        let mut devices = Vec::with_capacity(first.devices.len());
-        for slot in 0..first.devices.len() {
-            devices.push(match &first.devices[slot] {
-                CompiledDevice::Resistor { a, b: bn, .. } => {
-                    let mut cond = Vec::with_capacity(b);
-                    for lane in compiled {
-                        let CompiledDevice::Resistor {
-                            a: la,
-                            b: lb,
-                            resistance,
-                        } = &lane.devices[slot]
-                        else {
-                            return None;
-                        };
-                        if (la, lb) != (a, bn) {
-                            return None;
-                        }
-                        cond.push(1.0 / resistance);
-                    }
-                    SoaDevice::Resistor {
-                        ra: vrow(*a),
-                        rb: vrow(*bn),
-                        gp: pair(*a, *bn),
-                        cond,
-                    }
-                }
-                CompiledDevice::Capacitor { a, b: bn, .. } => {
-                    let mut cap = Vec::with_capacity(b);
-                    for lane in compiled {
-                        let CompiledDevice::Capacitor {
-                            a: la,
-                            b: lb,
-                            capacitance,
-                        } = &lane.devices[slot]
-                        else {
-                            return None;
-                        };
-                        if (la, lb) != (a, bn) {
-                            return None;
-                        }
-                        cap.push(*capacitance);
-                    }
-                    SoaDevice::Capacitor {
-                        ra: vrow(*a),
-                        rb: vrow(*bn),
-                        cp: pair(*a, *bn),
-                        cap,
-                    }
-                }
-                CompiledDevice::VoltageSource { p, n: neg, br, .. } => {
-                    let mut waveforms = Vec::with_capacity(b);
-                    for lane in compiled {
-                        let CompiledDevice::VoltageSource {
-                            p: lp,
-                            n: ln,
-                            br: lbr,
-                            waveform,
-                        } = &lane.devices[slot]
-                        else {
-                            return None;
-                        };
-                        if (lp, ln, lbr) != (p, neg, br) {
-                            return None;
-                        }
-                        waveforms.push(waveform.clone());
-                    }
+        let devices = compiled
+            .devices
+            .iter()
+            .map(|device| match device {
+                CompiledDevice::Resistor {
+                    a,
+                    b: bn,
+                    resistance,
+                } => SoaDevice::Resistor {
+                    ra: vrow(*a),
+                    rb: vrow(*bn),
+                    gp: pair(*a, *bn),
+                    cond: vec![1.0 / resistance; b],
+                },
+                CompiledDevice::Capacitor {
+                    a,
+                    b: bn,
+                    capacitance,
+                } => SoaDevice::Capacitor {
+                    ra: vrow(*a),
+                    rb: vrow(*bn),
+                    cp: pair(*a, *bn),
+                    cap: vec![*capacitance; b],
+                },
+                CompiledDevice::VoltageSource {
+                    p,
+                    n: neg,
+                    br,
+                    waveform,
+                } => {
                     let br_eq = Some(*br);
                     SoaDevice::VoltageSource {
                         rp: vrow(*p),
                         rn: vrow(*neg),
                         rbr: *br * b,
-                        br: *br,
                         gpb: cell(*p, br_eq),
                         gnb: cell(*neg, br_eq),
                         gbp: cell(br_eq, *p),
                         gbn: cell(br_eq, *neg),
-                        waveforms,
+                        waveforms: vec![waveform.clone(); b],
                     }
                 }
                 CompiledDevice::Mosfet {
                     d,
                     g,
                     s,
-                    device: proto,
-                    ..
+                    device,
+                    cgs,
+                    cgd,
+                    cdb,
+                    csb,
                 } => {
-                    let polarity = proto.polarity();
-                    let mut mos = SoaMosfet {
+                    let (_, vt0, eps_c, eps_s, lambda, beta) = device.kernel_constants();
+                    SoaDevice::Mosfet(SoaMosfet {
                         rd: vrow(*d),
                         rg: vrow(*g),
                         rs: vrow(*s),
@@ -772,54 +708,25 @@ impl SoaCircuit {
                         pgd: pair(*g, *d),
                         pdb: pair(*d, None),
                         psb: pair(*s, None),
-                        sign: polarity.sign(),
-                        vt0: Vec::with_capacity(b),
-                        eps_c: Vec::with_capacity(b),
-                        eps_s: Vec::with_capacity(b),
-                        lambda: Vec::with_capacity(b),
-                        beta: Vec::with_capacity(b),
-                        cgs: Vec::with_capacity(b),
-                        cgd: Vec::with_capacity(b),
-                        cdb: Vec::with_capacity(b),
-                        csb: Vec::with_capacity(b),
-                    };
-                    for lane in compiled {
-                        let CompiledDevice::Mosfet {
-                            d: ld,
-                            g: lg,
-                            s: ls,
-                            device,
-                            cgs,
-                            cgd,
-                            cdb,
-                            csb,
-                        } = &lane.devices[slot]
-                        else {
-                            return None;
-                        };
-                        if (ld, lg, ls) != (d, g, s) || device.polarity() != polarity {
-                            return None;
-                        }
-                        let (_, vt0, eps_c, eps_s, lambda, beta) = device.kernel_constants();
-                        mos.vt0.push(vt0);
-                        mos.eps_c.push(eps_c);
-                        mos.eps_s.push(eps_s);
-                        mos.lambda.push(lambda);
-                        mos.beta.push(beta);
-                        mos.cgs.push(*cgs);
-                        mos.cgd.push(*cgd);
-                        mos.cdb.push(*cdb);
-                        mos.csb.push(*csb);
-                    }
-                    SoaDevice::Mosfet(mos)
+                        sign: device.polarity().sign(),
+                        vt0: vec![vt0; b],
+                        eps_c: vec![eps_c; b],
+                        eps_s: vec![eps_s; b],
+                        lambda: vec![lambda; b],
+                        beta: vec![beta; b],
+                        cgs: vec![*cgs; b],
+                        cgd: vec![*cgd; b],
+                        cdb: vec![*cdb; b],
+                        csb: vec![*csb; b],
+                    })
                 }
-            });
-        }
-        Some(SoaCircuit {
+            })
+            .collect();
+        SoaCircuit {
             devices,
             n,
             lanes: b,
-        })
+        }
     }
 
     /// System dimension (number of unknowns per lane).
@@ -843,46 +750,22 @@ impl SoaCircuit {
     /// *agreement horizon* the lockstep engine's shared-prefix trunk runs
     /// under.
     ///
-    /// Lanes whose non-source device values differ anywhere (Monte-Carlo
-    /// style batches) get `0.0`; lanes differing only through source
-    /// waveform timing get the earliest time any two lanes' waveforms
-    /// stop being identical functions ([`Waveform::agree_until`]). The
-    /// bound is conservative by construction: it may understate sharing,
-    /// never overstate it.
+    /// Lanes share one circuit and differ only through source waveform
+    /// timing: the horizon is the earliest time any lane's waveforms stop
+    /// being identical functions to lane 0's ([`Waveform::agree_until`]).
+    /// The bound is conservative by construction: it may understate
+    /// sharing, never overstate it.
     pub fn agreement_horizon(&self, params: &[Params]) -> f64 {
         debug_assert_eq!(params.len(), self.lanes);
-        let all_eq = |v: &[f64]| v.iter().all(|x| x.to_bits() == v[0].to_bits());
         let mut horizon = f64::INFINITY;
         for device in &self.devices {
-            match device {
-                SoaDevice::Resistor { cond, .. } => {
-                    if !all_eq(cond) {
-                        return 0.0;
-                    }
-                }
-                SoaDevice::Capacitor { cap, .. } => {
-                    if !all_eq(cap) {
-                        return 0.0;
-                    }
-                }
-                SoaDevice::Mosfet(m) => {
-                    for field in [
-                        &m.vt0, &m.eps_c, &m.eps_s, &m.lambda, &m.beta, &m.cgs, &m.cgd, &m.cdb,
-                        &m.csb,
-                    ] {
-                        if !all_eq(field) {
-                            return 0.0;
-                        }
-                    }
-                }
-                SoaDevice::VoltageSource { waveforms, .. } => {
-                    for l in 1..waveforms.len() {
-                        horizon = horizon.min(waveforms[0].agree_until(
-                            &params[0],
-                            &waveforms[l],
-                            &params[l],
-                        ));
-                    }
+            if let SoaDevice::VoltageSource { waveforms, .. } = device {
+                for l in 1..waveforms.len() {
+                    horizon = horizon.min(waveforms[0].agree_until(
+                        &params[0],
+                        &waveforms[l],
+                        &params[l],
+                    ));
                 }
             }
         }
@@ -935,33 +818,6 @@ impl SoaCircuit {
         debug_assert_eq!(c.len(), (n * n + 1) * b);
         debug_assert_eq!(g.len(), (n * n + 1) * b);
         assemble_kernel(&self.devices, x, t, params, q, f, c, g, b);
-    }
-
-    /// Assembles one lane's `∂f/∂p` at `t` into `dfdp` (length `n`),
-    /// replicating [`CompiledCircuit::assemble_dfdp`]: only
-    /// voltage-source branch equations depend on the skew parameters.
-    ///
-    /// Lane-scalar on purpose — the sensitivity recursion consumes this
-    /// one accepted lane at a time.
-    // lint: hot-fn
-    // effects: pure
-    pub fn assemble_dfdp(
-        &self,
-        lane: usize,
-        t: f64,
-        params: &Params,
-        param: Param,
-        dfdp: &mut [f64],
-    ) {
-        dfdp.fill(0.0);
-        for device in &self.devices {
-            if let SoaDevice::VoltageSource { br, waveforms, .. } = device {
-                let dv = waveforms[lane].derivative(t, params, param);
-                if dv != 0.0 {
-                    dfdp[*br] -= dv;
-                }
-            }
-        }
     }
 }
 
@@ -1056,29 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn dfdp_is_bitwise_identical_to_scalar() {
-        let circuit = mixed_circuit();
-        let compiled = CompiledCircuit::compile(&circuit).expect("compilable");
-        let n = circuit.unknown_count();
-        let params = Params::new(1e-10, 2e-10);
-        let mut dfdp = vec![0.0; n];
-        // Mid data edge so the derivative is nonzero.
-        for param in Param::ALL {
-            for &t in &[0.0, 4.7e-9, 5.2e-9] {
-                let scalar = circuit.assemble_dfdp(t, &params, param);
-                compiled.assemble_dfdp(t, &params, param, &mut dfdp);
-                for i in 0..n {
-                    assert_eq!(
-                        dfdp[i].to_bits(),
-                        scalar[i].to_bits(),
-                        "dfdp[{i}] at t={t} for {param:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn inductor_makes_circuit_uncompilable() {
         let mut c = Circuit::new();
         let a = c.node("a");
@@ -1087,70 +920,14 @@ mod tests {
         assert!(CompiledCircuit::compile(&c).is_none());
     }
 
-    /// The mixed circuit with every parameter value scaled by `k` —
-    /// structurally identical to `mixed_circuit()`, numerically distinct,
-    /// the shape of a Monte-Carlo/corner lane.
-    fn mixed_circuit_scaled(k: f64) -> Circuit {
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let data = c.node("data");
-        let out = c.node("out");
-        c.add(VoltageSource::new(
-            "Vdd",
-            vdd,
-            Circuit::GROUND,
-            Waveform::dc(2.5 * k),
-        ));
-        c.add(VoltageSource::new(
-            "Vdata",
-            data,
-            Circuit::GROUND,
-            Waveform::Data(DataPulse {
-                v_rest: 0.0,
-                v_active: 2.5,
-                t_edge: 5e-9 * k,
-                rise: 0.5e-9,
-                fall: 0.5e-9 * k,
-                shape: RampShape::Smoothstep,
-            }),
-        ));
-        c.add(crate::devices::Mosfet::new(
-            "Mp",
-            out,
-            data,
-            vdd,
-            MosParams::pmos_250nm(),
-            2e-6 * k,
-            0.25e-6,
-        ));
-        c.add(crate::devices::Mosfet::new(
-            "Mn",
-            out,
-            data,
-            Circuit::GROUND,
-            MosParams::nmos_250nm(),
-            1e-6 * k,
-            0.25e-6,
-        ));
-        c.add(Resistor::new("Rl", out, Circuit::GROUND, 50e3 * k));
-        c.add(Capacitor::new("Cl", out, Circuit::GROUND, 5e-15 * k));
-        c
-    }
-
     #[test]
     fn soa_lanes_are_bitwise_identical_to_scalar_assembly() {
-        let circuits: Vec<Circuit> = [1.0, 0.85, 1.3]
-            .iter()
-            .map(|&k| mixed_circuit_scaled(k))
-            .collect();
-        let compiled: Vec<CompiledCircuit> = circuits
-            .iter()
-            .map(|c| CompiledCircuit::compile(c).expect("compilable"))
-            .collect();
-        let soa = SoaCircuit::merge(&compiled).expect("structurally identical lanes");
-        let b = circuits.len();
+        let circuit = mixed_circuit();
+        let compiled = CompiledCircuit::compile(&circuit).expect("compilable");
+        let b = 3;
+        let soa = SoaCircuit::new(&compiled, b);
         let n = soa.dim();
-        assert_eq!(n, compiled[0].dim());
+        assert_eq!(n, compiled.dim());
         assert_eq!(soa.lanes(), b);
         let params = [
             Params::new(1e-10, 2e-10),
@@ -1174,8 +951,7 @@ mod tests {
             soa.assemble_all(&x, &t, &params, &mut q, &mut f, &mut c, &mut g);
             for l in 0..b {
                 let lane_x: Vec<f64> = (0..n).map(|i| x[i * b + l]).collect();
-                let scalar =
-                    circuits[l].assemble(&Vector::from_slice(&lane_x), t[l], &params[l], 1.0);
+                let scalar = circuit.assemble(&Vector::from_slice(&lane_x), t[l], &params[l], 1.0);
                 for i in 0..n {
                     assert_eq!(
                         q[i * b + l].to_bits(),
@@ -1205,141 +981,11 @@ mod tests {
     }
 
     #[test]
-    fn soa_dfdp_is_bitwise_identical_per_lane() {
-        let circuits: Vec<Circuit> = [1.0, 1.2]
-            .iter()
-            .map(|&k| mixed_circuit_scaled(k))
-            .collect();
-        let compiled: Vec<CompiledCircuit> = circuits
-            .iter()
-            .map(|c| CompiledCircuit::compile(c).expect("compilable"))
-            .collect();
-        let soa = SoaCircuit::merge(&compiled).expect("mergeable");
-        let n = soa.dim();
-        let params = Params::new(1e-10, -2e-10);
-        let mut dfdp = vec![0.0; n];
-        for (l, circuit) in circuits.iter().enumerate() {
-            for param in Param::ALL {
-                for &t in &[0.0, 4.7e-9, 5.6e-9] {
-                    let scalar = circuit.assemble_dfdp(t, &params, param);
-                    soa.assemble_dfdp(l, t, &params, param, &mut dfdp);
-                    for i in 0..n {
-                        assert_eq!(
-                            dfdp[i].to_bits(),
-                            scalar[i].to_bits(),
-                            "lane {l} dfdp[{i}] at t={t} for {param:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_rejects_structural_mismatches() {
-        let base = mixed_circuit();
-        // Same device sequence and dimension, different resistor wiring.
-        let rewired = {
-            let mut c = Circuit::new();
-            let vdd = c.node("vdd");
-            let data = c.node("data");
-            let out = c.node("out");
-            c.add(VoltageSource::new(
-                "Vdd",
-                vdd,
-                Circuit::GROUND,
-                Waveform::dc(2.5),
-            ));
-            c.add(VoltageSource::new(
-                "Vdata",
-                data,
-                Circuit::GROUND,
-                Waveform::dc(0.0),
-            ));
-            c.add(crate::devices::Mosfet::new(
-                "Mp",
-                out,
-                data,
-                vdd,
-                MosParams::pmos_250nm(),
-                2e-6,
-                0.25e-6,
-            ));
-            c.add(crate::devices::Mosfet::new(
-                "Mn",
-                out,
-                data,
-                Circuit::GROUND,
-                MosParams::nmos_250nm(),
-                1e-6,
-                0.25e-6,
-            ));
-            c.add(Resistor::new("Rl", out, vdd, 50e3)); // ≠ out-ground
-            c.add(Capacitor::new("Cl", out, Circuit::GROUND, 5e-15));
-            c
-        };
-        // Same wiring, opposite polarity in the Mn slot.
-        let flipped = {
-            let mut c = Circuit::new();
-            let vdd = c.node("vdd");
-            let data = c.node("data");
-            let out = c.node("out");
-            c.add(VoltageSource::new(
-                "Vdd",
-                vdd,
-                Circuit::GROUND,
-                Waveform::dc(2.5),
-            ));
-            c.add(VoltageSource::new(
-                "Vdata",
-                data,
-                Circuit::GROUND,
-                Waveform::dc(0.0),
-            ));
-            c.add(crate::devices::Mosfet::new(
-                "Mp",
-                out,
-                data,
-                vdd,
-                MosParams::pmos_250nm(),
-                2e-6,
-                0.25e-6,
-            ));
-            c.add(crate::devices::Mosfet::new(
-                "Mn",
-                out,
-                data,
-                Circuit::GROUND,
-                MosParams::pmos_250nm(), // wrong polarity
-                1e-6,
-                0.25e-6,
-            ));
-            c.add(Resistor::new("Rl", out, Circuit::GROUND, 50e3));
-            c.add(Capacitor::new("Cl", out, Circuit::GROUND, 5e-15));
-            c
-        };
-        let cb = CompiledCircuit::compile(&base).unwrap();
-        let cr = CompiledCircuit::compile(&rewired).unwrap();
-        let cf = CompiledCircuit::compile(&flipped).unwrap();
-        assert!(
-            SoaCircuit::merge(&[cb.clone(), cr]).is_none(),
-            "node mismatch"
-        );
-        assert!(
-            SoaCircuit::merge(&[cb.clone(), cf]).is_none(),
-            "polarity mismatch"
-        );
-        assert!(SoaCircuit::merge(&[cb.clone(), cb]).is_some(), "self-merge");
-        assert!(SoaCircuit::merge(&[]).is_none(), "empty batch");
-    }
-
-    #[test]
     fn agreement_horizon_follows_the_data_pulse_bound() {
         // The sweep shape: identical circuits, lanes differ only through
         // their skew parameters entering via the data pulse.
         let circuit = mixed_circuit();
-        let compiled = vec![CompiledCircuit::compile(&circuit).unwrap(); 3];
-        let soa = SoaCircuit::merge(&compiled).unwrap();
+        let soa = SoaCircuit::new(&CompiledCircuit::compile(&circuit).unwrap(), 3);
 
         // Identical parameters: lanes are the same simulation forever.
         let p0 = Params::new(1e-10, 2e-10);
@@ -1363,18 +1009,5 @@ mod tests {
         let horizon = soa.agreement_horizon(&params);
         assert_eq!(horizon, expect);
         assert!(horizon > 4e-9, "fast-edge sweeps share most of the run");
-    }
-
-    #[test]
-    fn agreement_horizon_is_zero_for_differing_devices() {
-        // Same topology, different device values (a Monte-Carlo batch):
-        // the prefix is not shared even when the skews match.
-        let compiled: Vec<CompiledCircuit> = [1.0, 1.1]
-            .iter()
-            .map(|&k| CompiledCircuit::compile(&mixed_circuit_scaled(k)).unwrap())
-            .collect();
-        let soa = SoaCircuit::merge(&compiled).unwrap();
-        let p = Params::new(1e-10, 2e-10);
-        assert_eq!(soa.agreement_horizon(&[p, p]), 0.0);
     }
 }

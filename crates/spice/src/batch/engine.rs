@@ -1,6 +1,6 @@
 //! The lockstep stepping engine.
 //!
-//! [`run_lockstep`] advances `B` same-topology transients through shared
+//! [`run_lockstep`] advances `B` transients of one circuit through shared
 //! *element-major* structure-of-arrays buffers (`buf[element·B + lane]`):
 //! one block per state/residual role, one per Jacobian role, and one
 //! [`SoaLu`] for the shared-pattern factorizations. Control flow is
@@ -20,24 +20,20 @@
 //! [`crate::transient`] Backward-Euler fixed-step path *operation for
 //! operation* — same residual/Jacobian arithmetic order, same damped
 //! Newton update, same floor/fault retry policy, same step-cut and
-//! recovery rules, same sensitivity recursion — so lane results are
-//! bitwise identical to scalar runs. A lane that fails terminally
-//! *retires*: it keeps its typed [`SpiceError`] and the remaining lanes
-//! continue unaffected. A batch whose lanes are structurally mismatched
-//! (same dimension, different topology) is split into per-lane singleton
-//! batches — an element-major layout with one lane is exactly the scalar
-//! layout, so per-lane results are unchanged.
+//! recovery rules — so lane results are bitwise identical to scalar runs
+//! without sensitivities. A lane that fails terminally *retires*: it keeps
+//! its typed [`SpiceError`] and the remaining lanes continue unaffected.
 
 // lint: soa-module
-use shc_linalg::{lane_dispatch, multiversioned, LuFactor, Matrix, SoaLu, Vector};
+use shc_linalg::{lane_dispatch, multiversioned, SoaLu, Vector};
 
 use crate::batch::compile::{CompiledCircuit, SoaCircuit};
 use crate::circuit::Circuit;
 use crate::dcop;
 use crate::newton::{self, NewtonOptions};
 use crate::transient::{
-    with_lu_fault_retries, PrefixLadder, TransientOptions, TransientResult, TransientStats,
-    DT_FLOOR_SLACK, NEWTON_FAULT_RETRIES, NEWTON_FLOOR_RETRIES, REST_SKEWS, TSTOP_ENDPOINT_SLACK,
+    PrefixLadder, TransientOptions, TransientResult, TransientStats, DT_FLOOR_SLACK,
+    NEWTON_FAULT_RETRIES, NEWTON_FLOOR_RETRIES, REST_SKEWS, TSTOP_ENDPOINT_SLACK,
 };
 use crate::waveform::Params;
 use crate::{Result, SpiceError};
@@ -85,22 +81,6 @@ impl Drop for BatchProfFlush<'_> {
     }
 }
 
-/// One simulation of a lockstep batch: a circuit (same unknown count as
-/// every other lane), its parameter point, and its stop time (overriding
-/// the shared options' `tstop`).
-#[derive(Debug, Clone, Copy)]
-pub struct BatchLane<'a> {
-    /// The lane's circuit; all lanes must share one unknown count, and in
-    /// practice one topology (each lane is compiled independently, so
-    /// only the dimension is structurally required to match).
-    pub circuit: &'a Circuit,
-    /// Skew parameters for this lane.
-    pub params: Params,
-    /// Stop time for this lane (lanes may stop at different times; a lane
-    /// that reaches its endpoint simply stops stepping).
-    pub tstop: f64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneStatus {
     Active,
@@ -113,7 +93,6 @@ enum LaneStatus {
 #[derive(Debug)]
 struct LaneState {
     params: Params,
-    tstop: f64,
     t_prev: f64,
     dt: f64,
     status: LaneStatus,
@@ -397,19 +376,6 @@ fn rotate_impl(
     }
 }
 
-/// Row-major `out = a·b` — the exact `Matrix::mul_vec_into` loop.
-#[inline]
-fn mul_vec(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
-    for i in 0..n {
-        let mut acc = 0.0;
-        let row = &a[i * n..(i + 1) * n];
-        for (aij, bj) in row.iter().zip(b.iter()) {
-            acc += aij * bj;
-        }
-        out[i] = acc;
-    }
-}
-
 /// Per-lane replica of the scalar transient's whole-run fault hook
 /// (`Site::Transient`), drawn once per lane during batch setup so a
 /// lane-count sweep sees the same per-run draw cadence as scalar runs.
@@ -442,8 +408,8 @@ fn injected_run_fault(opts: &TransientOptions) -> Option<SpiceError> {
 enum Start<'l> {
     /// Each lane's own DC operating point at `t = 0`.
     Dc,
-    /// Rung `k` of a prefix ladder recorded on every lane's circuit, valid
-    /// for every lane (see [`ladder_rung`]).
+    /// Rung `k` of the batch circuit's prefix ladder, valid for every lane
+    /// (see [`ladder_rung`]).
     Rung(&'l PrefixLadder, usize),
 }
 
@@ -459,115 +425,81 @@ impl Start<'_> {
 
 /// The rung of `ladder` every lane of the batch may start from: the last
 /// one whose reach lies strictly before the earliest agreement horizon of
-/// [`REST_SKEWS`] and a lane's skews. Requires every lane to run the
-/// ladder's own circuit to the ladder's `tstop` under options the ladder
-/// serves, and no fault injector (a resumed lane would skip its prefix's
-/// fault draws).
+/// [`REST_SKEWS`] and a lane's skews. Requires the ladder to be recorded
+/// on `circuit` under options that serve `opts`, and no fault injector (a
+/// resumed lane would skip its prefix's fault draws).
 fn ladder_rung(
     ladder: &PrefixLadder,
-    lanes: &[BatchLane<'_>],
+    circuit: &Circuit,
+    params: &[Params],
     opts: &TransientOptions,
 ) -> Option<usize> {
-    let circuit = lanes.first()?.circuit;
-    let usable = !shc_fault::enabled()
-        && ladder.recorded_on(circuit)
-        && ladder.serves(circuit, opts)
-        && lanes.iter().all(|lane| {
-            std::ptr::eq(lane.circuit, circuit) && lane.tstop.to_bits() == opts.tstop.to_bits()
-        });
-    if !usable {
+    if shc_fault::enabled() || !ladder.recorded_on(circuit) || !ladder.serves(circuit, opts) {
         return None;
     }
-    let horizon = lanes
+    let horizon = params
         .iter()
-        .map(|lane| circuit.agreement_horizon(&REST_SKEWS, &lane.params))
+        .map(|p| circuit.agreement_horizon(&REST_SKEWS, p))
         .fold(f64::INFINITY, f64::min);
     ladder.rung_below(horizon)
 }
 
-/// Runs every lane to its stop time in lockstep.
+/// Runs one lane per skew point of `params` over `circuit` to
+/// `opts.tstop` in lockstep.
 ///
 /// Returns one `Result` per lane, in lane order: `Ok` with a final-only
 /// [`TransientResult`] bitwise identical to the scalar path, or the typed
 /// error the scalar run would have produced. The outer `Result` reports
-/// *structural* problems (mixed dimensions, an unsupported configuration,
-/// an uncompilable lane circuit) before any simulation starts.
+/// a configuration outside the batched envelope before any simulation
+/// starts.
 ///
-/// With `prefix`, the ladder of the lanes' circuit
+/// With `prefix`, the ladder of `circuit`
 /// ([`crate::transient::TransientAnalysis::prefix_ladder`]), the batch
 /// starts from the last rung valid for every lane instead of the DC
-/// point, when every lane runs that circuit to the ladder's `tstop` and
-/// no fault injector is installed; otherwise it starts from DC. Results
-/// are bitwise the same either way.
+/// point, when no fault injector is installed; otherwise it starts from
+/// DC. Results are bitwise the same either way.
 ///
 /// Telemetry: one `Transient` span/phase frame and one `TransientRuns`
-/// count of `lanes.len()` covers the whole batch; per-lane steps, Newton
+/// count of `params.len()` covers the whole batch; per-lane steps, Newton
 /// iterations, and rejections are observed individually at the end so
-/// distribution metrics match `lanes.len()` scalar runs. They count
+/// distribution metrics match `params.len()` scalar runs. They count
 /// executed work only: the shared trunk's steps once, a rung's none.
 ///
 /// # Errors
 ///
-/// [`SpiceError::BadCircuit`] when the batch is structurally invalid or
-/// outside the batched envelope (callers should gate on
+/// [`SpiceError::BadCircuit`] when `opts.tstop` is not positive or the
+/// configuration is outside the batched envelope (callers should gate on
 /// [`crate::batch::supported`] / [`crate::batch::BatchPolicy`]).
 pub fn run_lockstep(
-    lanes: &[BatchLane<'_>],
+    circuit: &Circuit,
+    params: &[Params],
     opts: &TransientOptions,
     prefix: Option<&PrefixLadder>,
 ) -> Result<Vec<Result<TransientResult>>> {
-    if lanes.is_empty() {
+    if params.is_empty() {
         return Ok(Vec::new());
     }
-    let n = lanes[0].circuit.unknown_count();
-    for (l, lane) in lanes.iter().enumerate() {
-        if lane.circuit.unknown_count() != n {
-            return Err(SpiceError::BadCircuit {
-                reason: format!(
-                    "lockstep batch requires one dimension: lane 0 has {n} unknowns, lane {l} has {}",
-                    lane.circuit.unknown_count()
-                ),
-            });
-        }
-        if !(lane.tstop.is_finite() && lane.tstop > 0.0) {
-            return Err(SpiceError::BadCircuit {
-                reason: format!("lane {l} has non-positive stop time {}", lane.tstop),
-            });
-        }
-        if !crate::batch::supported(lane.circuit, opts) {
-            return Err(SpiceError::BadCircuit {
-                reason: format!(
-                    "lane {l} is outside the batched envelope (needs Backward Euler, fixed \
-                     steps, final-only recording, DC start, dense solves, and batchable devices)"
-                ),
-            });
-        }
+    if !(opts.tstop.is_finite() && opts.tstop > 0.0) {
+        return Err(SpiceError::BadCircuit {
+            reason: format!("lockstep batch has non-positive stop time {}", opts.tstop),
+        });
     }
-    let compiled: Vec<CompiledCircuit> = lanes
-        .iter()
-        .map(|lane| {
-            CompiledCircuit::compile(lane.circuit).expect("supported() verified compilability")
-        })
-        .collect();
-    let Some(soa) = SoaCircuit::merge(&compiled) else {
-        // Structurally mismatched lanes (same dimension, different
-        // topology): split into per-lane singleton batches. A single lane
-        // always merges with itself, and one-lane element-major layout is
-        // exactly the scalar layout, so per-lane results are bitwise
-        // unchanged; only the lockstep sharing (and the one-span-per-batch
-        // telemetry grouping) is lost.
-        let mut results = Vec::with_capacity(lanes.len());
-        for lane in lanes {
-            results.extend(run_lockstep(std::slice::from_ref(lane), opts, prefix)?);
-        }
-        return Ok(results);
-    };
+    if !crate::batch::supported(circuit, opts) {
+        return Err(SpiceError::BadCircuit {
+            reason: "lockstep batch is outside the batched envelope (needs Backward Euler, \
+                     fixed steps, final-only recording, DC start, dense solves, no \
+                     sensitivities, and batchable devices)"
+                .to_string(),
+        });
+    }
+    let compiled = CompiledCircuit::compile(circuit).expect("supported() verified compilability");
+    let soa = SoaCircuit::new(&compiled, params.len());
 
     // One span + frame + run count per batch; the lap accumulators flush
     // beneath the frame on every exit path, mirroring the scalar run.
     let _span = shc_obs::span(shc_obs::SpanKind::Transient);
     let _frame = shc_prof::enter(shc_prof::Phase::Transient);
-    shc_obs::count(shc_obs::Metric::TransientRuns, lanes.len() as u64);
+    shc_obs::count(shc_obs::Metric::TransientRuns, params.len() as u64);
     let lap_step = shc_prof::Laps::step();
     let lap_iter = shc_prof::Laps::iter();
     let _prof_flush = BatchProfFlush {
@@ -575,44 +507,37 @@ pub fn run_lockstep(
         iter: &lap_iter,
     };
 
-    // Shared-prefix trunk: characterization sweeps vary only source
-    // timing, so every lane's inputs — device values, waveforms, and skew
-    // derivatives — are often provably bitwise identical up to an
-    // *agreement horizon* (the earliest time any two lanes' waveforms
-    // stop being the same function). On that prefix all lanes perform the
-    // identical computation; running it once on a single-lane engine and
-    // broadcasting the state is therefore bitwise-exact and skips
-    // `b − 1` redundant DC solves and prefix transients. Fault-injection
-    // campaigns skip the trunk: sharing would collapse the documented
-    // per-lane draw cadence. Lanes with different stop times keep their
-    // own step schedules, so they forgo the trunk too. The trunk starts
-    // where the lanes would: at the batch's rung, or at the DC point.
+    // Shared-prefix trunk: lanes differ only in source timing, so every
+    // lane's inputs — device values, waveforms, and skew derivatives — are
+    // provably bitwise identical up to an *agreement horizon* (the
+    // earliest time any two lanes' waveforms stop being the same
+    // function). On that prefix all lanes perform the identical
+    // computation; running it once on a single-lane engine and
+    // broadcasting the state is therefore bitwise-exact and skips `b − 1`
+    // redundant DC solves and prefix transients. Fault-injection campaigns
+    // skip the trunk: sharing would collapse the documented per-lane draw
+    // cadence. The trunk starts where the lanes would: at the batch's
+    // rung, or at the DC point.
     let start = prefix
-        .and_then(|ladder| Some(Start::Rung(ladder, ladder_rung(ladder, lanes, opts)?)))
+        .and_then(|ladder| {
+            ladder_rung(ladder, circuit, params, opts).map(|k| Start::Rung(ladder, k))
+        })
         .unwrap_or(Start::Dc);
-    let horizon = if lanes.len() >= 2
-        && !shc_fault::enabled()
-        && lanes
-            .iter()
-            .all(|lane| lane.tstop.to_bits() == lanes[0].tstop.to_bits())
-    {
-        let params_v: Vec<Params> = lanes.iter().map(|lane| lane.params).collect();
-        soa.agreement_horizon(&params_v)
+    let horizon = if params.len() >= 2 && !shc_fault::enabled() {
+        soa.agreement_horizon(params)
     } else {
         0.0
     };
 
-    let mut engine = Engine::new(lanes, soa, opts);
+    let mut engine = Engine::new(params, soa, opts);
     if horizon > start.time() {
-        let trunk_soa =
-            SoaCircuit::merge(&compiled[..1]).expect("a single lane always merges with itself");
-        let mut trunk = Engine::new(&lanes[..1], trunk_soa, opts);
+        let mut trunk = Engine::new(&params[..1], SoaCircuit::new(&compiled, 1), opts);
         trunk.t_limit = horizon;
-        trunk.init(&lanes[..1], start);
+        trunk.init(circuit, start);
         trunk.run(&lap_step, &lap_iter);
         engine.adopt_trunk(trunk);
     } else {
-        engine.init(lanes, start);
+        engine.init(circuit, start);
     }
     engine.run(&lap_step, &lap_iter);
     engine.flush_observations();
@@ -628,11 +553,9 @@ pub fn run_lockstep(
 /// [`SoaCircuit::assemble_all`] carry one extra *spill* row/cell
 /// absorbing ground stamps — `x`, `q`, `f` are `(n+1)·b` and `c`, `g`
 /// are `(n²+1)·b`. `x`'s spill row is the ground potential and must stay
-/// all `+0.0`; no kernel writes it. The sensitivity history `c_prev` is
-/// *lane-major* (the recursion consumes one lane at a time).
+/// all `+0.0`; no kernel writes it.
 struct Engine<'e> {
     n: usize,
-    n_sens: usize,
     b: usize,
     /// Hard stepping ceiling: a lane only attempts a step whose endpoint
     /// is strictly below this. The shared-prefix trunk runs with the
@@ -668,18 +591,7 @@ struct Engine<'e> {
     c: Vec<f64>,
     /// soa: element-major, scratch
     g: Vec<f64>,
-    /// Previous accepted step's `C` per lane, lane-major (sensitivity
-    /// recursion only; de-interleaved from `c` on step acceptance).
-    /// soa: lane-major, state
-    c_prev: Vec<f64>,
     lu: SoaLu,
-    /// Sensitivity-step factor, refactored for each accepted lane in
-    /// turn (factor and solves complete within one lane's turn, like the
-    /// single-lane scratch below).
-    sens_lu: LuFactor,
-    /// Sensitivity states, `lanes·n_sens` stacked n-vectors, lane-major.
-    /// soa: lane-major, state
-    m: Vec<f64>,
     // Per-lane scratch (length b): assembly times, effective steps, the
     // compute-all commit mask, solver error slots, finiteness probes, and
     // weighted norms.
@@ -690,27 +602,22 @@ struct Engine<'e> {
     errs: Vec<Option<shc_linalg::LinalgError>>,
     bad: Vec<f64>,
     norms: Vec<f64>,
-    // Single-lane scratch (retry starts and sensitivity temporaries are
-    // consumed within one lane's turn, so one buffer serves all lanes).
+    // Single-lane scratch (a retry's previous state and jittered start
+    // are consumed within one lane's turn, so one pair serves all lanes).
+    prev: Vec<f64>,
     start: Vec<f64>,
-    dfdp: Vec<f64>,
-    sens_rhs: Vector,
-    sens_tmp: Vector,
-    jac_s: Matrix,
 }
 
 impl<'e> Engine<'e> {
-    fn new(lanes: &[BatchLane<'_>], soa: SoaCircuit, opts: &'e TransientOptions) -> Engine<'e> {
+    fn new(params: &[Params], soa: SoaCircuit, opts: &'e TransientOptions) -> Engine<'e> {
         let n = soa.dim();
-        let n_sens = opts.sensitivities.len();
-        let b = lanes.len();
-        let lane_states = lanes
+        let b = params.len();
+        let lane_states = params
             .iter()
-            .map(|lane| LaneState {
-                params: lane.params,
-                tstop: lane.tstop,
+            .map(|&params| LaneState {
+                params,
                 t_prev: 0.0,
-                dt: opts.dt.min(lane.tstop),
+                dt: opts.dt.min(opts.tstop),
                 status: LaneStatus::Active,
                 stats: TransientStats::default(),
                 skipped: TransientStats::default(),
@@ -726,7 +633,6 @@ impl<'e> Engine<'e> {
             .collect();
         Engine {
             n,
-            n_sens,
             b,
             t_limit: f64::INFINITY,
             rung_steps: 0,
@@ -742,22 +648,16 @@ impl<'e> Engine<'e> {
             f: vec![0.0; (n + 1) * b],
             c: vec![0.0; (n * n + 1) * b],
             g: vec![0.0; (n * n + 1) * b],
-            c_prev: vec![0.0; if n_sens > 0 { b * n * n } else { 0 }],
             lu: SoaLu::new(b, n),
-            sens_lu: LuFactor::identity(n),
-            m: vec![0.0; b * n_sens * n],
-            params_v: lanes.iter().map(|lane| lane.params).collect(),
+            params_v: params.to_vec(),
             t_v: vec![0.0; b],
             dt_v: vec![0.0; b],
             active: vec![false; b],
             errs: vec![None; b],
             bad: vec![0.0; b],
             norms: vec![0.0; b],
+            prev: vec![0.0; n],
             start: vec![0.0; n],
-            dfdp: vec![0.0; n],
-            sens_rhs: Vector::zeros(n),
-            sens_tmp: Vector::zeros(n),
-            jac_s: Matrix::zeros(n, n),
         }
     }
 
@@ -770,42 +670,36 @@ impl<'e> Engine<'e> {
 
     /// Per-lane setup — run-site fault draws and the initial states in
     /// lane order (preserving the scalar per-run draw cadence) — then one
-    /// SoA assembly at the start time for the history stamps (`q_prev`,
-    /// `c_prev`). Assembly draws nothing, so batching it after the
-    /// per-lane loop leaves the cadence untouched.
+    /// SoA assembly at the start time for the history stamps (`q_prev`).
+    /// Assembly draws nothing, so batching it after the per-lane loop
+    /// leaves the cadence untouched.
     ///
-    /// From [`Start::Dc`] each lane solves its DC operating point. From
-    /// [`Start::Rung`] each lane takes x, the requested sensitivities, t,
-    /// dt and the counters from the rung, as a resumed scalar run does;
-    /// the assembly then re-stamps the accepted point the full run's last
-    /// step stamped, so the lanes continue bitwise as full runs.
-    fn init(&mut self, input: &[BatchLane<'_>], start: Start<'_>) {
+    /// From [`Start::Dc`] each lane solves its DC operating point on
+    /// `circuit`. From [`Start::Rung`] each lane takes x, t, dt and the
+    /// counters from the rung, as a resumed scalar run does; the assembly
+    /// then re-stamps the accepted point the full run's last step stamped,
+    /// so the lanes continue bitwise as full runs.
+    fn init(&mut self, circuit: &Circuit, start: Start<'_>) {
         let n = self.n;
         let b = self.b;
-        for (l, lane_in) in input.iter().enumerate().take(self.lanes.len()) {
+        for l in 0..self.lanes.len() {
             if let Some(e) = injected_run_fault(self.opts) {
                 self.fail(l, e);
                 continue;
             }
             let dc;
             let x0 = match start {
-                Start::Dc => {
-                    match dcop::solve_dc(lane_in.circuit, &self.lanes[l].params, &self.opts.dc) {
-                        Ok(sol) => {
-                            dc = sol.x;
-                            dc.as_slice()
-                        }
-                        Err(e) => {
-                            self.fail(l, e);
-                            continue;
-                        }
+                Start::Dc => match dcop::solve_dc(circuit, &self.lanes[l].params, &self.opts.dc) {
+                    Ok(sol) => {
+                        dc = sol.x;
+                        dc.as_slice()
                     }
-                }
+                    Err(e) => {
+                        self.fail(l, e);
+                        continue;
+                    }
+                },
                 Start::Rung(ladder, k) => {
-                    for (j, &param) in self.opts.sensitivities.iter().enumerate() {
-                        let s0 = (l * self.n_sens + j) * n;
-                        self.m[s0..s0 + n].copy_from_slice(ladder.rung_sensitivity(k, param));
-                    }
                     let rung = ladder.rung(k);
                     let lane = &mut self.lanes[l];
                     lane.t_prev = rung.t;
@@ -841,17 +735,6 @@ impl<'e> Engine<'e> {
             soa.assemble_all(x, t_v, params_v, q, f, c, g);
         }
         self.q_prev.copy_from_slice(&self.q[..n * b]);
-        if self.n_sens > 0 {
-            for l in 0..self.lanes.len() {
-                if self.lanes[l].status != LaneStatus::Active {
-                    continue;
-                }
-                let m0 = l * n * n;
-                for idx in 0..n * n {
-                    self.c_prev[m0 + idx] = self.c[idx * b + l];
-                }
-            }
-        }
     }
 
     // lint: trunk-fence
@@ -861,8 +744,8 @@ impl<'e> Engine<'e> {
     /// The trunk ran lane 0's simulation over the prefix on which every
     /// lane's inputs are provably bitwise identical (the agreement
     /// horizon), so each lane's state after that prefix *is* the trunk's
-    /// state: histories, sensitivities, statistics, and accepted times
-    /// are broadcast verbatim. A trunk that finished (`Done`) or retired
+    /// state: histories, statistics, and accepted times are broadcast
+    /// verbatim. A trunk that finished (`Done`) or retired
     /// (`Failed`) determines every lane's outcome the same way, because
     /// each lane's scalar run would have performed the identical
     /// computation. The trunk's executed work is accounted to lane 0, the
@@ -876,13 +759,6 @@ impl<'e> Engine<'e> {
             for l in 0..b {
                 self.x_prev[soa_idx(i, l, b)] = xv;
                 self.q_prev[soa_idx(i, l, b)] = qv;
-            }
-        }
-        if self.n_sens > 0 {
-            let (sn, nn) = (self.n_sens * n, n * n);
-            for l in 0..b {
-                self.m[l * sn..(l + 1) * sn].copy_from_slice(&trunk.m);
-                self.c_prev[l * nn..(l + 1) * nn].copy_from_slice(&trunk.c_prev);
             }
         }
         let src = &trunk.lanes[0];
@@ -1162,14 +1038,14 @@ impl<'e> Engine<'e> {
                 // `retry_in_place` would use on the scalar path.
                 let Engine {
                     start,
-                    sens_tmp,
+                    prev,
                     x_prev,
                     ..
                 } = self;
-                for (i, v) in sens_tmp.iter_mut().enumerate() {
+                for (i, v) in prev.iter_mut().enumerate() {
                     *v = x_prev[soa_idx(i, l, b)];
                 }
-                newton::jitter_slice(start, sens_tmp.as_slice(), attempt);
+                newton::jitter_slice(start, prev, attempt);
             }
             self.newton_start(l, true);
             if self.lanes[l].nw_active {
@@ -1192,8 +1068,7 @@ impl<'e> Engine<'e> {
 
     /// Applies the scalar per-step outcome policy to every stepping lane:
     /// floor/fault retries, the dt-quarter cut on divergence, terminal
-    /// retirement, then re-stamp + sensitivity recursion for accepted
-    /// steps.
+    /// retirement, then the re-stamp of accepted steps.
     fn resolve_round(&mut self, lap_step: &shc_prof::Laps, lap_iter: &shc_prof::Laps) {
         let n = self.n;
         let b = self.b;
@@ -1247,11 +1122,11 @@ impl<'e> Engine<'e> {
         }
 
         // Accepted lanes: one SoA re-stamp at the converged points (exact
-        // `C_i`/`G_i`/`q_i` for the history and sensitivity recursion).
-        // Retired lanes' blocks are clobbered with garbage, which is fine:
-        // the history rotation is masked and they never read them.
-        let mut accepted = 0u64;
-        if self.lanes.iter().any(|lane| lane.stepping) {
+        // `q_i` for the history). Retired lanes' blocks are clobbered with
+        // garbage, which is fine: the history rotation is masked and they
+        // never read them.
+        let accepted = self.lanes.iter().filter(|lane| lane.stepping).count() as u64;
+        if accepted > 0 {
             let Engine {
                 lanes,
                 soa,
@@ -1268,84 +1143,9 @@ impl<'e> Engine<'e> {
                 t_v[l] = lane.t_new;
             }
             soa.assemble_all(x, t_v, params_v, q, f, c, g);
-            for l in 0..self.lanes.len() {
-                if !self.lanes[l].stepping {
-                    continue;
-                }
-                if self.n_sens > 0 {
-                    if let Err(e) = self.lane_sens(l) {
-                        self.fail(l, e);
-                        continue;
-                    }
-                }
-                accepted += 1;
-            }
         }
         lap_step.end_region(LAP_SENS);
-        lap_step.bump(LAP_SENS, accepted, accepted * self.n_sens as u64);
-    }
-
-    /// The Backward-Euler sensitivity recursion for one accepted lane:
-    /// `(C_i + dt·G_i)·m_i = C_{i−1}·m_{i−1} − dt·∂f/∂p`, factored once
-    /// per step and back-substituted per parameter — the scalar path's
-    /// arithmetic on lane blocks.
-    fn lane_sens(&mut self, l: usize) -> Result<()> {
-        let n = self.n;
-        let b = self.b;
-        let n_sens = self.n_sens;
-        let dt_eff = self.lanes[l].dt_eff;
-        let t_new = self.lanes[l].t_new;
-        let (m0, m1) = (l * n * n, (l + 1) * n * n);
-        {
-            // Gather the lane's step Jacobian from the element-major
-            // blocks into dense row-major scratch (the scalar `C + dt·G`
-            // arithmetic on this lane's values, bit for bit).
-            let Engine { jac_s, c, g, .. } = self;
-            for row in 0..n {
-                for col in 0..n {
-                    let idx = row * n + col;
-                    jac_s[(row, col)] = c[idx * b + l] + dt_eff * g[idx * b + l];
-                }
-            }
-        }
-        {
-            let Engine { sens_lu, jac_s, .. } = self;
-            with_lu_fault_retries(|| sens_lu.refactor(jac_s))?;
-        }
-        for k in 0..n_sens {
-            let param = self.opts.sensitivities[k];
-            let s0 = (l * n_sens + k) * n;
-            {
-                let Engine {
-                    soa, lanes, dfdp, ..
-                } = self;
-                soa.assemble_dfdp(l, t_new, &lanes[l].params, param, dfdp);
-            }
-            {
-                let Engine {
-                    c_prev,
-                    m,
-                    sens_rhs,
-                    dfdp,
-                    ..
-                } = self;
-                mul_vec(&c_prev[m0..m1], &m[s0..s0 + n], n, sens_rhs.as_mut_slice());
-                for (r, d) in sens_rhs.iter_mut().zip(dfdp.iter()) {
-                    *r += -dt_eff * d;
-                }
-            }
-            {
-                let Engine {
-                    sens_lu,
-                    sens_rhs,
-                    sens_tmp,
-                    ..
-                } = self;
-                with_lu_fault_retries(|| sens_lu.solve_into(sens_rhs, sens_tmp))?;
-            }
-            self.m[s0..s0 + n].copy_from_slice(self.sens_tmp.as_slice());
-        }
-        Ok(())
+        lap_step.bump(LAP_SENS, accepted, 0);
     }
 
     /// End-of-round bookkeeping for accepted lanes: statistics, history
@@ -1354,7 +1154,6 @@ impl<'e> Engine<'e> {
         let n = self.n;
         let b = self.b;
         let opts_dt = self.opts.dt;
-        let has_sens = self.n_sens > 0;
         {
             let Engine {
                 lanes,
@@ -1370,23 +1169,12 @@ impl<'e> Engine<'e> {
             }
             rotate_kernel(q_prev, x_prev, &q[..n * b], &x[..n * b], active, n, b);
         }
-        let Engine {
-            lanes, c, c_prev, ..
-        } = self;
-        for (l, lane) in lanes.iter_mut().enumerate() {
+        for lane in self.lanes.iter_mut() {
             if !lane.stepping {
                 continue;
             }
             lane.stepping = false;
             lane.stats.steps += 1;
-            if has_sens {
-                // De-interleave this lane's accepted-step `C` into the
-                // lane-major sensitivity history.
-                let m0 = l * n * n;
-                for idx in 0..n * n {
-                    c_prev[m0 + idx] = c[idx * b + l];
-                }
-            }
             lane.t_prev = lane.t_new;
             // Fixed-step recovery after a Newton-failure cut.
             if lane.dt < opts_dt {
@@ -1401,6 +1189,7 @@ impl<'e> Engine<'e> {
     fn run(&mut self, lap_step: &shc_prof::Laps, lap_iter: &shc_prof::Laps) {
         let nopts = self.opts.newton;
         let t_limit = self.t_limit;
+        let tstop = self.opts.tstop;
         loop {
             let mut any = false;
             for lane in self.lanes.iter_mut() {
@@ -1408,8 +1197,8 @@ impl<'e> Engine<'e> {
                 if lane.status != LaneStatus::Active {
                     continue;
                 }
-                if lane.t_prev < lane.tstop - TSTOP_ENDPOINT_SLACK * lane.tstop.max(1.0) {
-                    let t_new = (lane.t_prev + lane.dt).min(lane.tstop);
+                if lane.t_prev < tstop - TSTOP_ENDPOINT_SLACK * tstop.max(1.0) {
+                    let t_new = (lane.t_prev + lane.dt).min(tstop);
                     // Strictly below the ceiling: at exactly `t_limit` a
                     // linear-ramp skew derivative may already differ
                     // across lanes, so the trunk must not evaluate there.
@@ -1469,12 +1258,9 @@ impl<'e> Engine<'e> {
     fn into_results(self) -> Vec<Result<TransientResult>> {
         let Engine {
             n,
-            n_sens,
             b,
-            opts,
             lanes,
             x_prev,
-            m,
             ..
         } = self;
         lanes
@@ -1484,13 +1270,7 @@ impl<'e> Engine<'e> {
                 LaneStatus::Failed => Err(lane.err.expect("failed lane carries its error")),
                 LaneStatus::Done | LaneStatus::Active => {
                     let final_state = Vector::from_iter((0..n).map(|i| x_prev[soa_idx(i, l, b)]));
-                    let sens = (0..n_sens)
-                        .map(|k| {
-                            let s0 = (l * n_sens + k) * n;
-                            (opts.sensitivities[k], Vector::from_slice(&m[s0..s0 + n]))
-                        })
-                        .collect();
-                    Ok(TransientResult::from_parts(final_state, sens, lane.stats))
+                    Ok(TransientResult::from_parts(final_state, lane.stats))
                 }
             })
             .collect()
@@ -1619,7 +1399,7 @@ mod tests {
     }
 
     /// An RC divider driven by the parameterized data pulse so the skew
-    /// parameters matter and the sensitivities are nonzero.
+    /// parameters matter.
     fn rc_circuit() -> Circuit {
         let mut c = Circuit::new();
         let vin = c.node("in");
@@ -1666,23 +1446,20 @@ mod tests {
         c
     }
 
-    fn opts(tstop: f64, sens: bool) -> TransientOptions {
-        let mut b = TransientOptions::builder(tstop)
+    fn opts(tstop: f64) -> TransientOptions {
+        TransientOptions::builder(tstop)
             .dt(tstop / 200.0)
-            .record(RecordMode::FinalOnly);
-        if sens {
-            b = b.sensitivities(&Param::ALL);
-        }
-        b.build()
+            .record(RecordMode::FinalOnly)
+            .build()
     }
 
     fn assert_lane_matches_scalar(
         batched: &TransientResult,
         circuit: &Circuit,
         params: &Params,
-        lane_opts: TransientOptions,
+        opts: &TransientOptions,
     ) {
-        let scalar = TransientAnalysis::new(circuit, lane_opts.clone())
+        let scalar = TransientAnalysis::new(circuit, opts.clone())
             .run(params)
             .expect("scalar run");
         assert_eq!(batched.times().len(), scalar.times().len(), "step counts");
@@ -1693,15 +1470,6 @@ mod tests {
         assert_eq!(fb.len(), fs.len());
         for i in 0..fb.len() {
             assert_eq!(fb[i].to_bits(), fs[i].to_bits(), "final_state[{i}]");
-        }
-        for p in lane_opts.sensitivities.iter() {
-            let (mb, ms) = (
-                batched.final_sensitivity(*p).expect("batched sens"),
-                scalar.final_sensitivity(*p).expect("scalar sens"),
-            );
-            for i in 0..mb.len() {
-                assert_eq!(mb[i].to_bits(), ms[i].to_bits(), "sens {p:?}[{i}]");
-            }
         }
         assert_eq!(batched.stats().steps, scalar.stats().steps);
         assert_eq!(
@@ -1717,54 +1485,36 @@ mod tests {
     #[test]
     fn rc_lanes_are_bitwise_identical_to_scalar() {
         let circuit = rc_circuit();
-        let base = opts(20e-9, true);
-        let lanes: Vec<BatchLane<'_>> = [
-            (Params::new(0.0, 0.0), 20e-9),
-            (Params::new(0.4e-9, -0.2e-9), 20e-9),
-            (Params::new(-0.3e-9, 0.5e-9), 14e-9), // shorter lane: early finish
-            (Params::new(1.0e-9, 1.0e-9), 20e-9),
-        ]
-        .iter()
-        .map(|&(params, tstop)| BatchLane {
-            circuit: &circuit,
-            params,
-            tstop,
-        })
-        .collect();
-        let results = run_lockstep(&lanes, &base, None).expect("structurally valid batch");
-        assert_eq!(results.len(), lanes.len());
-        for (lane, result) in lanes.iter().zip(results.iter()) {
+        let base = opts(20e-9);
+        let skews = [
+            Params::new(0.0, 0.0),
+            Params::new(0.4e-9, -0.2e-9),
+            Params::new(-0.3e-9, 0.5e-9),
+            Params::new(1.0e-9, 1.0e-9),
+        ];
+        let results =
+            run_lockstep(&circuit, &skews, &base, None).expect("structurally valid batch");
+        assert_eq!(results.len(), skews.len());
+        for (params, result) in skews.iter().zip(results.iter()) {
             let r = result.as_ref().expect("lane converges");
-            let lane_opts = TransientOptions {
-                tstop: lane.tstop,
-                dt: base.dt.min(lane.tstop),
-                ..base.clone()
-            };
-            assert_lane_matches_scalar(r, lane.circuit, &lane.params, lane_opts);
+            assert_lane_matches_scalar(r, &circuit, params, &base);
         }
     }
 
     #[test]
     fn inverter_lanes_are_bitwise_identical_to_scalar() {
         let circuit = inverter_circuit();
-        let base = opts(12e-9, true);
+        let base = opts(12e-9);
         let skews = [
             Params::new(0.0, 0.0),
             Params::new(0.6e-9, -0.4e-9),
             Params::new(-0.5e-9, 0.3e-9),
         ];
-        let lanes: Vec<BatchLane<'_>> = skews
-            .iter()
-            .map(|&params| BatchLane {
-                circuit: &circuit,
-                params,
-                tstop: base.tstop,
-            })
-            .collect();
-        let results = run_lockstep(&lanes, &base, None).expect("structurally valid batch");
-        for (lane, result) in lanes.iter().zip(results.iter()) {
+        let results =
+            run_lockstep(&circuit, &skews, &base, None).expect("structurally valid batch");
+        for (params, result) in skews.iter().zip(results.iter()) {
             let r = result.as_ref().expect("lane converges");
-            assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
+            assert_lane_matches_scalar(r, &circuit, params, &base);
         }
     }
 
@@ -1775,107 +1525,45 @@ mod tests {
         // adopts the finished state. Results must still be bitwise equal
         // to the scalar path, stats included.
         let circuit = inverter_circuit();
-        let base = opts(12e-9, true);
+        let base = opts(12e-9);
         let params = Params::new(0.3e-9, 0.2e-9);
-        let lanes: Vec<BatchLane<'_>> = (0..4)
-            .map(|_| BatchLane {
-                circuit: &circuit,
-                params,
-                tstop: base.tstop,
-            })
-            .collect();
-        let results = run_lockstep(&lanes, &base, None).expect("structurally valid batch");
+        let results =
+            run_lockstep(&circuit, &[params; 4], &base, None).expect("structurally valid batch");
         assert_eq!(results.len(), 4);
         for result in &results {
             let r = result.as_ref().expect("lane converges");
-            assert_lane_matches_scalar(r, &circuit, &params, base.clone());
+            assert_lane_matches_scalar(r, &circuit, &params, &base);
         }
-    }
-
-    #[test]
-    fn mixed_topology_batch_falls_back_to_singletons() {
-        // Same unknown count, different topology: the RC divider and a
-        // two-resistor divider both have 2 unknowns + 1 branch current,
-        // but their device lists differ, so `SoaCircuit::merge` refuses
-        // and `run_lockstep` must split into bitwise-preserving singleton
-        // batches rather than rejecting the batch.
-        let rc = rc_circuit();
-        let mut rr = Circuit::new();
-        let vin = rr.node("in");
-        let vout = rr.node("out");
-        rr.add(VoltageSource::new("Vd", vin, Circuit::GROUND, pulse()));
-        rr.add(Resistor::new("R1", vin, vout, 10e3));
-        rr.add(Resistor::new("R2", vout, Circuit::GROUND, 20e3));
-        assert_eq!(rc.unknown_count(), rr.unknown_count());
-
-        let base = opts(16e-9, true);
-        let lanes = [
-            BatchLane {
-                circuit: &rc,
-                params: Params::new(0.2e-9, -0.1e-9),
-                tstop: base.tstop,
-            },
-            BatchLane {
-                circuit: &rr,
-                params: Params::new(-0.3e-9, 0.4e-9),
-                tstop: base.tstop,
-            },
-        ];
-        let results =
-            run_lockstep(&lanes, &base, None).expect("mixed topology splits, not rejects");
-        assert_eq!(results.len(), 2);
-        for (lane, result) in lanes.iter().zip(results.iter()) {
-            let r = result.as_ref().expect("lane converges");
-            assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
-        }
-    }
-
-    #[test]
-    fn mixed_dimension_batch_is_rejected() {
-        let rc = rc_circuit();
-        let inv = inverter_circuit();
-        let base = opts(10e-9, false);
-        let lanes = [
-            BatchLane {
-                circuit: &rc,
-                params: Params::default(),
-                tstop: 10e-9,
-            },
-            BatchLane {
-                circuit: &inv,
-                params: Params::default(),
-                tstop: 10e-9,
-            },
-        ];
-        let err = run_lockstep(&lanes, &base, None).expect_err("mixed dimensions");
-        assert!(matches!(err, SpiceError::BadCircuit { .. }));
     }
 
     #[test]
     fn empty_batch_returns_no_results() {
-        let base = opts(10e-9, false);
-        let results = run_lockstep(&[], &base, None).expect("empty batch is fine");
+        let results =
+            run_lockstep(&rc_circuit(), &[], &opts(10e-9), None).expect("empty batch is fine");
         assert!(results.is_empty());
+    }
+
+    #[test]
+    fn sensitivity_requests_are_rejected() {
+        let base = TransientOptions {
+            sensitivities: Param::ALL.to_vec(),
+            ..opts(10e-9)
+        };
+        let err = run_lockstep(&rc_circuit(), &[Params::default()], &base, None)
+            .expect_err("sensitivities are outside the envelope");
+        assert!(matches!(err, SpiceError::BadCircuit { .. }));
     }
 
     #[test]
     fn injected_lane_fault_retires_lane_and_leaves_survivors_bitwise() {
         let circuit = rc_circuit();
-        let base = opts(16e-9, true);
+        let base = opts(16e-9);
         let skews = [
             Params::new(0.0, 0.0),
             Params::new(0.2e-9, 0.1e-9),
             Params::new(-0.2e-9, 0.3e-9),
             Params::new(0.5e-9, -0.1e-9),
         ];
-        let lanes: Vec<BatchLane<'_>> = skews
-            .iter()
-            .map(|&params| BatchLane {
-                circuit: &circuit,
-                params,
-                tstop: base.tstop,
-            })
-            .collect();
 
         // Find a seed whose per-lane run-site draws produce a mixed batch:
         // at least one retired lane and at least one survivor. Draws that
@@ -1890,24 +1578,22 @@ mod tests {
                 seed,
             });
             let guard = shc_fault::install_scoped(&injector);
-            let results = run_lockstep(&lanes, &base, None).expect("structurally valid");
+            let results = run_lockstep(&circuit, &skews, &base, None).expect("structurally valid");
             drop(guard);
             let failed = results.iter().filter(|r| r.is_err()).count();
-            if failed > 0 && failed < lanes.len() {
+            if failed > 0 && failed < skews.len() {
                 chosen = Some(results);
                 break;
             }
         }
         let results = chosen.expect("some seed yields a mixed batch");
-        for (lane, result) in lanes.iter().zip(results.iter()) {
+        for (params, result) in skews.iter().zip(results.iter()) {
             match result {
                 Err(SpiceError::NewtonDiverged { context, .. }) => {
                     assert_eq!(*context, "transient run (injected fault)");
                 }
                 Err(other) => panic!("unexpected lane error: {other:?}"),
-                Ok(r) => {
-                    assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
-                }
+                Ok(r) => assert_lane_matches_scalar(r, &circuit, params, &base),
             }
         }
     }
@@ -1915,13 +1601,9 @@ mod tests {
     #[test]
     fn newton_site_faults_are_absorbed_by_lane_retries() {
         let circuit = rc_circuit();
-        let base = opts(10e-9, false);
-        let lanes: Vec<BatchLane<'_>> = (0..3)
-            .map(|i| BatchLane {
-                circuit: &circuit,
-                params: Params::new(0.1e-9 * i as f64, 0.0),
-                tstop: base.tstop,
-            })
+        let base = opts(10e-9);
+        let skews: Vec<Params> = (0..3)
+            .map(|i| Params::new(0.1e-9 * i as f64, 0.0))
             .collect();
         let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
             probability: 0.05,
@@ -1930,7 +1612,7 @@ mod tests {
             seed: 7,
         });
         let guard = shc_fault::install_scoped(&injector);
-        let results = run_lockstep(&lanes, &base, None).expect("structurally valid");
+        let results = run_lockstep(&circuit, &skews, &base, None).expect("structurally valid");
         drop(guard);
         assert!(injector.injected() > 0, "plan should fire at this rate");
         for result in &results {
@@ -1943,21 +1625,13 @@ mod tests {
     #[test]
     fn stepping_rounds_allocate_no_matrices() {
         let circuit = inverter_circuit();
-        let base = opts(10e-9, true);
-        let lanes: Vec<BatchLane<'_>> = (0..4)
-            .map(|i| BatchLane {
-                circuit: &circuit,
-                params: Params::new(0.1e-9 * i as f64, -0.05e-9 * i as f64),
-                tstop: base.tstop,
-            })
+        let base = opts(10e-9);
+        let skews: Vec<Params> = (0..4)
+            .map(|i| Params::new(0.1e-9 * i as f64, -0.05e-9 * i as f64))
             .collect();
-        let compiled: Vec<CompiledCircuit> = lanes
-            .iter()
-            .map(|lane| CompiledCircuit::compile(lane.circuit).unwrap())
-            .collect();
-        let soa = SoaCircuit::merge(&compiled).expect("same topology merges");
-        let mut engine = Engine::new(&lanes, soa, &base);
-        engine.init(&lanes, Start::Dc); // DC solves allocate; that's setup, not stepping
+        let compiled = CompiledCircuit::compile(&circuit).unwrap();
+        let mut engine = Engine::new(&skews, SoaCircuit::new(&compiled, skews.len()), &base);
+        engine.init(&circuit, Start::Dc); // DC solves allocate; that's setup, not stepping
         let lap_step = shc_prof::Laps::step();
         let lap_iter = shc_prof::Laps::iter();
         let before = shc_linalg::matrix_allocations();
@@ -1980,29 +1654,19 @@ mod tests {
         use crate::transient::PrefixCache;
         use shc_obs::Metric;
         let circuit = inverter_circuit();
-        let base = opts(12e-9, true);
+        let base = opts(12e-9);
         let cache = PrefixCache::new();
         let ladder = TransientAnalysis::new(&circuit, base.clone())
             .with_prefix(&cache)
             .prefix_ladder()
             .expect("inside the resume envelope");
-        let lanes = |skews: &[Params]| -> Vec<BatchLane<'_>> {
-            skews
-                .iter()
-                .map(|&params| BatchLane {
-                    circuit: &circuit,
-                    params,
-                    tstop: base.tstop,
-                })
-                .collect()
-        };
         // One batch under a collector: its results and the executed
         // steps, resumes and resumed steps it reports.
-        let run = |lanes: &[BatchLane<'_>], prefix: Option<&PrefixLadder>| {
+        let run = |skews: &[Params], prefix: Option<&PrefixLadder>| {
             let collector = shc_obs::Collector::new();
             let results = {
                 let _guard = shc_obs::install_scoped(&collector);
-                run_lockstep(lanes, &base, prefix).expect("structurally valid batch")
+                run_lockstep(&circuit, skews, &base, prefix).expect("structurally valid batch")
             };
             let snap = collector.snapshot();
             let counts = [
@@ -2013,22 +1677,22 @@ mod tests {
             .map(|m| snap.counter(m));
             (results, counts)
         };
-        let check = |lanes: &[BatchLane<'_>], results: &[Result<TransientResult>]| {
-            for (lane, result) in lanes.iter().zip(results) {
+        let check = |skews: &[Params], results: &[Result<TransientResult>]| {
+            for (params, result) in skews.iter().zip(results) {
                 let r = result.as_ref().expect("lane converges");
-                assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
+                assert_lane_matches_scalar(r, &circuit, params, &base);
             }
         };
 
         // Identical lanes: the trunk runs the whole simulation, and its
         // steps count once, not once per lane; from a rung, the rung's
         // steps count zero.
-        let same = lanes(&[Params::new(0.3e-9, 0.2e-9); 4]);
-        let k = ladder_rung(ladder, &same, &base).expect("a rung before the data edge");
+        let same = [Params::new(0.3e-9, 0.2e-9); 4];
+        let k = ladder_rung(ladder, &circuit, &same, &base).expect("a rung before the data edge");
         let skipped = ladder.rung_steps(k).expect("rung exists") as u64;
         assert!(skipped > 0);
         let full = TransientAnalysis::new(&circuit, base.clone())
-            .run(&same[0].params)
+            .run(&same[0])
             .expect("scalar run")
             .stats()
             .steps as u64;
@@ -2041,12 +1705,12 @@ mod tests {
 
         // Lanes over two setup skews: the trunk stops at their horizon,
         // and the rung is the one below the earliest lane's.
-        let mixed = lanes(&[
+        let mixed = [
             Params::new(0.3e-9, 0.2e-9),
             Params::new(0.3e-9, 0.6e-9),
             Params::new(0.7e-9, -0.1e-9),
-        ]);
-        let k = ladder_rung(ladder, &mixed, &base).expect("a rung before the data edge");
+        ];
+        let k = ladder_rung(ladder, &circuit, &mixed, &base).expect("a rung before the data edge");
         let skipped = ladder.rung_steps(k).expect("rung exists") as u64;
         let (dc, dc_counts) = run(&mixed, None);
         let (resumed, counts) = run(&mixed, Some(ladder));
@@ -2055,12 +1719,10 @@ mod tests {
         assert_eq!(counts[0], dc_counts[0] - skipped);
         assert_eq!(counts[1..], [3, 3 * skipped]);
 
-        // A lane on another circuit, or a fault injector, keeps the batch
+        // Another circuit's ladder, or a fault injector, keeps the batch
         // at the DC start.
         let other = inverter_circuit();
-        let mut foreign = mixed.clone();
-        foreign[1].circuit = &other;
-        assert_eq!(ladder_rung(ladder, &foreign, &base), None);
+        assert_eq!(ladder_rung(ladder, &other, &mixed, &base), None);
         let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
             probability: 0.0,
             site: None,
@@ -2068,6 +1730,6 @@ mod tests {
             seed: 1,
         });
         let _faults = shc_fault::install_scoped(&injector);
-        assert_eq!(ladder_rung(ladder, &mixed, &base), None);
+        assert_eq!(ladder_rung(ladder, &circuit, &mixed, &base), None);
     }
 }

@@ -1,13 +1,15 @@
 //! Lockstep batched transient simulation.
 //!
-//! Characterization sweeps (surface grids, Monte-Carlo samples, PVT
-//! corners, `trace_batch` levels) run thousands of transients over the
-//! *same topology* with different parameters. This module cuts the
-//! per-simulation cost of one lane group; the sweep executor in
-//! `shc_core::parallel` fans the groups out over threads on top:
+//! A brute-force surface sweep runs thousands of transients of *one
+//! circuit* that differ only in their skews, without sensitivities. This
+//! module cuts the per-simulation cost of one lane group of such a sweep;
+//! the sweep executor in `shc_core::parallel` fans the groups out over
+//! threads on top. Everything else — sensitivity runs (tracer, MPNR,
+//! Monte Carlo, corners), probes, sparse solves — runs on the scalar
+//! [`crate::transient::TransientAnalysis`].
 //!
 //! - **Compilation** ([`compile::CompiledCircuit`]): the `dyn Device` list
-//!   is lowered once per sweep into a flat array of value-level device
+//!   is lowered once per batch into a flat array of value-level device
 //!   descriptors with pre-resolved unknown indices, so the per-iteration
 //!   assembly is a monomorphic match over plain data — no virtual
 //!   dispatch, no `Option` re-resolution, no bounds re-derivation.
@@ -24,10 +26,10 @@
 //! The batched path is **bitwise identical** to the scalar
 //! [`crate::transient::TransientAnalysis`] on its supported envelope
 //! (Backward Euler, final-only recording, dense solves, DC initial
-//! condition): every floating-point operation per lane replicates
-//! the scalar sequence exactly. Anything outside the envelope reports
-//! unsupported via [`supported`] and the caller falls back to the scalar
-//! path.
+//! condition, no sensitivities): every floating-point operation per lane
+//! replicates the scalar sequence exactly. Anything outside the envelope
+//! reports unsupported via [`supported`] and the caller falls back to the
+//! scalar path.
 //!
 //! The invariants that make this soundness argument work are
 //! machine-checked by `shc-lint` v4 (DESIGN.md §9.10–§9.13): the
@@ -46,20 +48,20 @@ pub mod compile;
 pub mod engine;
 
 pub use compile::{CompiledCircuit, DeviceSpec, SoaCircuit};
-pub use engine::{run_lockstep, BatchLane};
+pub use engine::run_lockstep;
 
 use serde::{Deserialize, Serialize};
 
 use crate::circuit::Circuit;
 use crate::transient::{InitialCondition, Integrator, RecordMode, TransientOptions};
 
-/// Default lane-group width for sweep drivers that chunk a large
-/// simulation set into batches: wide enough to amortize compilation and
-/// buffer setup, narrow enough that the SoA blocks of a seed-cell-sized
-/// circuit stay cache-resident.
+/// Default lane-group width for surface sweeps, which chunk their grid
+/// into batches: wide enough to amortize compilation and buffer setup,
+/// narrow enough that the SoA blocks of a seed-cell-sized circuit stay
+/// cache-resident.
 pub const DEFAULT_LANES: usize = 16;
 
-/// How a sweep driver chooses between the scalar and the batched engine.
+/// How a surface sweep chooses between the scalar and the batched engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum BatchPolicy {
@@ -99,8 +101,8 @@ impl BatchPolicy {
         }
     }
 
-    /// Whether a sweep of `lanes` same-topology simulations over
-    /// `circuit` under `opts` should take the batched engine.
+    /// Whether a sweep of `lanes` simulations of `circuit` under `opts`
+    /// should take the batched engine.
     pub fn use_batched(self, circuit: &Circuit, opts: &TransientOptions, lanes: usize) -> bool {
         let min_lanes = if self == BatchPolicy::Auto { 2 } else { 1 };
         self.may_batch() && lanes >= min_lanes && supported(circuit, opts)
@@ -129,11 +131,12 @@ impl std::fmt::Display for BatchPolicy {
 }
 
 /// Whether `(circuit, opts)` falls inside the batched engine's envelope:
-/// Backward Euler, final-only recording, DC initial
-/// condition, dense solves, and a circuit made entirely of devices with a
+/// Backward Euler, final-only recording, DC initial condition, dense
+/// solves, no sensitivities, and a circuit made entirely of devices with a
 /// [`DeviceSpec`] lowering.
 pub fn supported(circuit: &Circuit, opts: &TransientOptions) -> bool {
     matches!(opts.integrator, Integrator::BackwardEuler)
+        && opts.sensitivities.is_empty()
         && matches!(opts.record, RecordMode::FinalOnly)
         && matches!(opts.initial, InitialCondition::DcOperatingPoint)
         && !opts.solver.wants_sparse(circuit.unknown_count())
@@ -191,6 +194,13 @@ mod tests {
 
         let full = TransientOptions::builder(1e-6).dt(1e-8).build();
         assert!(!supported(&c, &full), "Full recording is out of envelope");
+
+        let sens = TransientOptions::builder(1e-6)
+            .dt(1e-8)
+            .record(RecordMode::FinalOnly)
+            .sensitivities(&crate::waveform::Param::ALL)
+            .build();
+        assert!(!supported(&c, &sens), "sensitivities are out of envelope");
     }
 
     #[test]

@@ -320,20 +320,17 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Assembles a final-only result from parts — for the batched lockstep
-    /// engine, which builds the same fields outside [`run_core`].
-    pub(crate) fn from_parts(
-        final_state: Vector,
-        final_sensitivities: Vec<(Param, Vector)>,
-        stats: TransientStats,
-    ) -> Self {
+    /// Assembles a final-only result without sensitivities — for the
+    /// batched lockstep engine, which builds the same fields outside
+    /// [`run_core`].
+    pub(crate) fn from_parts(final_state: Vector, stats: TransientStats) -> Self {
         TransientResult {
             times: Vec::new(),
             states: Vec::new(),
             probe: Vec::new(),
             probe_index: None,
             final_state,
-            final_sensitivities,
+            final_sensitivities: Vec::new(),
             stats,
         }
     }
@@ -480,7 +477,7 @@ pub struct PrefixLadder {
     /// Options of the recorded run; resumed runs must match them.
     opts: TransientOptions,
     /// Address of the recorded circuit. Lockstep batches compare it with
-    /// their lanes' circuits; it is never dereferenced.
+    /// their circuit; it is never dereferenced.
     circuit: usize,
     /// MNA dimension of the recorded circuit.
     n: usize,

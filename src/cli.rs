@@ -43,7 +43,7 @@ pub struct CliConfig {
     pub reference_setup: Option<f64>,
     /// Linear-solver backend (`--solver dense|sparse|auto`).
     pub solver: SolverChoice,
-    /// Batched-engine policy for multi-point sweeps
+    /// Batched-engine policy for the problem's surface sweeps
     /// (`--batch auto|scalar|batched`).
     pub batch: BatchPolicy,
     /// JSONL run-journal path (one event per traced contour point).
@@ -102,12 +102,14 @@ options:
                         sparse-direct LU for large netlists and the dense
                         (bitwise-reproducible) path for small ones
   --batch <policy>      auto | scalar | batched   [auto]
-                        lockstep batched engine for multi-point sweeps;
-                        auto batches inside the supported envelope (and
-                        defers to scalar under --fault-plan), scalar
-                        always takes the per-point path, batched asserts
-                        the lockstep path wherever the envelope allows.
-                        All three produce bitwise-identical results
+                        problem policy for surface sweeps, the only
+                        sweeps the lockstep batched engine runs (this
+                        seed-and-trace pipeline runs none); auto batches
+                        inside the supported envelope (and defers to
+                        scalar under --fault-plan), scalar always takes
+                        the per-point path, batched asserts the lockstep
+                        path wherever the envelope allows. All three
+                        produce bitwise-identical results
 telemetry:
   --journal <path>      write a JSONL run journal: one event per traced
                         contour point (tau_s, tau_h, residual, Jacobian

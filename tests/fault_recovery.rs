@@ -150,3 +150,69 @@ fn per_run_transient_faults_yield_partial_or_recovered_contours_never_panics() {
         Err(_) => {} // typed error is an acceptable (graceful) outcome
     }
 }
+
+#[test]
+fn threaded_monte_carlo_and_corner_sweeps_survive_every_fault_site() {
+    use shc::cells::tspc_register_with;
+    use shc::core::corners::{self, SweepOptions};
+    use shc::core::montecarlo::{self, MonteCarloOptions};
+    use shc::core::Parallelism;
+
+    let base = Technology::default_250nm();
+    let fast = |tech: &Technology| tspc_register_with(tech, ClockSpec::fast());
+    let corners = || {
+        [2.3, 2.5, 2.7]
+            .iter()
+            .map(|&vdd| {
+                let mut tech = base;
+                tech.vdd = vdd;
+                (format!("vdd_{vdd}"), fast(&tech))
+            })
+            .collect::<Vec<_>>()
+    };
+    let mc_opts = MonteCarloOptions {
+        samples: 4,
+        rng_seed: 11,
+        parallelism: Parallelism::Threads(2),
+        ..MonteCarloOptions::default()
+    };
+    let sweep_opts = SweepOptions {
+        points: 4,
+        parallelism: Parallelism::Threads(2),
+        ..SweepOptions::default()
+    };
+    // Per-site rates: the solver sites are drawn thousands of times per
+    // sweep and their faults are absorbed by retries; the per-run and
+    // per-solve sites are drawn a few dozen times.
+    let rates = [
+        (Site::LuFactor, 0.01),
+        (Site::LuSolve, 0.01),
+        (Site::Newton, 0.01),
+        (Site::Transient, 0.05),
+        (Site::Mpnr, 0.2),
+    ];
+    assert_eq!(rates.len(), Site::COUNT, "every site is covered");
+    for (site, probability) in rates {
+        // Workers share the injector, so which call draws a fault depends
+        // on thread timing; only the shape of the outcome is the contract:
+        // complete results or a typed error, never a panic.
+        let injector = Injector::new(FaultPlan {
+            probability,
+            site: Some(site),
+            kind: FaultKind::NonConvergence,
+            seed: 5,
+        });
+        let _faults = shc::fault::install_scoped(&injector);
+        // An `Err` is a typed `CharError`, a graceful outcome; a result
+        // must be complete.
+        if let Ok((samples, stats)) = montecarlo::run(&base, fast, &mc_opts) {
+            assert_eq!(samples.len(), 4, "{site:?}: Monte Carlo lost samples");
+            assert_eq!(stats.samples, 4, "{site:?}");
+        }
+        if let Ok(results) = corners::sweep(corners(), &sweep_opts) {
+            let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, ["vdd_2.3", "vdd_2.5", "vdd_2.7"], "{site:?}");
+        }
+        assert!(injector.injected() > 0, "{site:?}: the plan never fired");
+    }
+}

@@ -5,7 +5,7 @@
 //! both derivatives, step counters) to a direct `TransientAnalysis::run`
 //! with the same options, on generated and adversarial skews, and require
 //! the paths outside the resume envelope (TRAP, sparse solves, fault
-//! injection, lockstep lanes over different circuits) never to resume.
+//! injection) never to resume.
 //!
 //! The property tests draw from the vendored proptest's per-test seed; a
 //! failure names the case and the skews, which reproduce it exactly.
@@ -18,7 +18,7 @@ use shc::cells::{
     c2mos_register_with, tg_register_with, tspc_register_with, ClockSpec, Technology,
     C2MOS_CLKB_SKEW,
 };
-use shc::core::{mpnr, BatchPolicy, CharacterizationProblem, HEvaluation, MpnrOptions};
+use shc::core::{BatchPolicy, CharacterizationProblem, HEvaluation};
 use shc::fault::{FaultKind, FaultPlan, Injector, Site};
 use shc::obs::{Collector, Metric};
 use shc::spice::transient::{
@@ -278,7 +278,7 @@ fn batches_resume_from_the_rung_below_the_earliest_lane_horizon() {
 }
 
 #[test]
-fn injected_batches_and_lockstep_mpnr_lanes_never_resume() {
+fn injected_batches_never_resume() {
     // `BatchPolicy::Batched` batches under an injector (one that never
     // fires, so the outputs stay comparable); a warm ladder must go
     // unused there.
@@ -303,29 +303,6 @@ fn injected_batches_and_lockstep_mpnr_lanes_never_resume() {
         assert_batch_identical("tspc", &problem, &points)
     };
     assert_eq!(resumes, 0, "injected batch resumed");
-
-    // Lockstep MPNR lanes run whatever circuits their problems hold, so
-    // they start from DC even when every lane's problem holds a ladder;
-    // each lane still equals the scalar solve bitwise.
-    let lanes = [&problem, &problem];
-    let initials = [r, Params::new(0.9 * r.tau_s, 1.1 * r.tau_h)];
-    let opts = MpnrOptions::default();
-    let mut batched = Vec::new();
-    let (resumes, _) = resumes_in(|| {
-        batched = mpnr::solve_batch(&lanes, &initials, &opts, BatchPolicy::Batched);
-    });
-    assert_eq!(resumes, 0, "lockstep MPNR lanes resumed");
-    for (lane, initial) in batched.iter().zip(initials) {
-        let scalar = mpnr::solve(&problem, initial, &opts);
-        let bits = |res: &shc::core::MpnrResult| {
-            [res.params.tau_s, res.params.tau_h, res.residual].map(f64::to_bits)
-        };
-        assert_eq!(
-            lane.as_ref().map(bits).map_err(|e| e.to_string()),
-            scalar.as_ref().map(bits).map_err(|e| e.to_string()),
-            "lockstep MPNR lane from {initial:?} differs from the scalar solve"
-        );
-    }
 }
 
 /// A prefix cache recorded as the problem records its own. The first

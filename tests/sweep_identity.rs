@@ -1,10 +1,11 @@
 //! Every sweep driver runs through one executor (lane groups fanned over
-//! threads), so neither the thread count nor the batch policy may change
-//! what a sweep returns. This test runs the surface, Monte Carlo, corner
-//! and `trace_batch` drivers on the fast clock over
-//! `Parallelism::{Serial, Threads(2), Threads(3)}` × `BatchPolicy::{Scalar,
-//! Auto, Batched}` and requires every output to match the default
-//! (serial, `Auto`) run bit for bit.
+//! threads), so neither the thread count nor, for the surface, the batch
+//! policy may change what a sweep returns. This test runs the surface on
+//! the fast clock over `Parallelism::{Serial, Threads(2), Threads(3)}` ×
+//! `BatchPolicy::{Scalar, Auto, Batched}`, and the Monte Carlo, corner and
+//! `trace_batch` drivers (which run on the scalar engine) over the thread
+//! counts, and requires every output to match the serial (`Auto`) run bit
+//! for bit.
 
 use shc::cells::{tspc_register_with, ClockSpec, Register, Technology};
 use shc::core::corners::{self, CornerResult, SweepOptions};
@@ -83,8 +84,8 @@ fn level_bits(levels: &[BatchContour]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Runs `f` over the whole matrix and checks each output against the
-/// serial `Auto` one.
+/// Runs `f` over the whole threads × policies matrix and checks each
+/// output against the serial `Auto` one.
 fn assert_matrix_identical<T: PartialEq + std::fmt::Debug>(
     what: &str,
     f: impl Fn(Parallelism, BatchPolicy) -> T,
@@ -132,15 +133,30 @@ fn surface_is_bitwise_identical_across_threads_and_policies() {
     });
 }
 
+/// Runs `f` over the thread counts and checks each output against the
+/// serial one.
+fn assert_threads_identical<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    f: impl Fn(Parallelism) -> T,
+) {
+    let reference = f(Parallelism::Serial);
+    for parallelism in PARALLELISMS {
+        assert_eq!(
+            f(parallelism),
+            reference,
+            "{what}: {parallelism:?} differs from serial"
+        );
+    }
+}
+
 #[test]
-fn monte_carlo_is_bitwise_identical_across_threads_and_policies() {
+fn monte_carlo_is_bitwise_identical_across_threads() {
     let base = Technology::default_250nm();
-    assert_matrix_identical("monte carlo", |parallelism, batch| {
+    assert_threads_identical("monte carlo", |parallelism| {
         let opts = MonteCarloOptions {
             samples: 5,
             rng_seed: 42,
             parallelism,
-            batch,
             ..MonteCarloOptions::default()
         };
         let (samples, stats) = montecarlo::run(&base, fast_tspc, &opts).expect("monte carlo");
@@ -150,7 +166,7 @@ fn monte_carlo_is_bitwise_identical_across_threads_and_policies() {
 }
 
 #[test]
-fn corner_sweep_is_bitwise_identical_across_threads_and_policies() {
+fn corner_sweep_is_bitwise_identical_across_threads() {
     let registers = || -> Vec<(String, Register)> {
         [2.3, 2.5, 2.7]
             .iter()
@@ -161,11 +177,10 @@ fn corner_sweep_is_bitwise_identical_across_threads_and_policies() {
             })
             .collect()
     };
-    assert_matrix_identical("corners", |parallelism, batch| {
+    assert_threads_identical("corners", |parallelism| {
         let opts = SweepOptions {
             points: 5,
             parallelism,
-            batch,
             ..SweepOptions::default()
         };
         let results = corners::sweep(registers(), &opts).expect("sweep");
@@ -178,9 +193,7 @@ fn corner_sweep_is_bitwise_identical_across_threads_and_policies() {
 #[test]
 fn trace_batch_is_bitwise_identical_across_threads() {
     let build = || fast_tspc(&Technology::default_250nm());
-    // `trace_batch` takes no batch policy: its levels seed and trace on
-    // the scalar engine, so only the thread count varies.
-    let run = |parallelism| {
+    assert_threads_identical("trace_batch", |parallelism| {
         let opts = BatchOptions {
             points: 5,
             parallelism,
@@ -190,11 +203,7 @@ fn trace_batch_is_bitwise_identical_across_threads() {
             .into_iter()
             .collect::<Result<_, _>>()
             .expect("levels trace");
+        assert_eq!(levels.len(), 2);
         level_bits(&levels)
-    };
-    let reference = run(Parallelism::Serial);
-    assert_eq!(reference.len(), 2);
-    for parallelism in PARALLELISMS {
-        assert_eq!(run(parallelism), reference, "{parallelism:?}");
-    }
+    });
 }
